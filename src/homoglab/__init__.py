@@ -15,6 +15,7 @@ from .errors import (
     BudgetExhausted,
     FormatError,
     HomoglabError,
+    InternalInvariant,
     NotADirectoryBase,
     OrderTooLarge,
     SeedNotLocalMorphism,

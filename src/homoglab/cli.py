@@ -3,14 +3,14 @@
 Subcommands: analyze, check, generate, witness, rado-span, classify,
 verify.  Every command prints one JSON report to stdout.  Exit codes:
 0 verdict computed, 1 suite failures or a negative verdict under
---expect yes, 2 invalid input, 3 budget exhausted.
+--expect yes, 2 invalid input, 3 budget exhausted, 4 internal invariant
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -19,6 +19,7 @@ from .errors import (
     BudgetExhausted,
     FormatError,
     HomoglabError,
+    InternalInvariant,
     NotADirectoryBase,
     OrderTooLarge,
     SeedNotLocalMorphism,
@@ -290,7 +291,7 @@ def _cmd_verify(args, argv) -> int:
             range(args.n_min, args.n_max + 1), part_sizes=(args.part_size,)
         )
     else:
-        report = cross_validate_hh(min(args.n_max, 7))
+        report = cross_validate_hh(args.n_max)
     _emit(argv, {"suite_report": report.to_dict()})
     return 0 if report.passed else 1
 
@@ -307,14 +308,6 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    threads = os.environ.get("HOMOGLAB_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"HOMOGLAB_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-            return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -338,6 +331,9 @@ def run(argv: list[str]) -> int:
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalInvariant as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except HomoglabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,11 @@ class SeedNotLocalMorphism(HomoglabError):
 
 
 class BadParams(HomoglabError):
-    """Raised for invalid presentation family parameters."""
+    """Raised for invalid presentation family or construction parameters."""
+
+
+class InternalInvariant(HomoglabError):
+    """Raised when a result fails an internal check: a package fault, not bad input."""
 
 
 class FormatError(HomoglabError):

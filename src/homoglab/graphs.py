@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import NotADirectoryBase, StarNumberZero, Undominated
+from .errors import InternalInvariant, NotADirectoryBase, StarNumberZero, Undominated
 
 __all__ = [
     "Graph",
@@ -360,7 +360,7 @@ def _lex_least_clique(adj: tuple[int, ...], cand: int, size: int) -> list[int]:
                 need -= 1
                 break
         else:
-            raise AssertionError("witness extraction lost feasibility")
+            raise InternalInvariant("witness extraction lost feasibility")
     return chosen
 
 
@@ -544,7 +544,7 @@ def domination_number(g: Graph, i: Iterable[int], s: Iterable[int]) -> int:
                         cmask |= 1 << c
                     if all(g.masks[x] & cmask for x in outside):
                         return k
-            raise AssertionError("undominated set escaped the entry check")
+            raise InternalInvariant("undominated set escaped the entry check")
         blocked = inside
         for x in _iter_bits(inside):
             blocked |= g.masks[x]

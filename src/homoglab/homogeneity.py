@@ -2,17 +2,31 @@
 
 Two independent routes decide HH-homogeneity of a finite graph:
 
-* decide_xy runs extension search over local morphisms directly.  For
-  target kinds H and M it uses one-point checks: a graph is HH exactly when
-  every local homomorphism admits an image for one more vertex, and for
-  injective targets the analogous statement holds over local monomorphisms
-  (partial extensions stay inside the checked class, so the stepwise
-  argument closes).
+* decide_xy runs a one-point check: a graph is HH exactly when every
+  homomorphism from a coned domain has a coned image.
 * decide_hh_conditions tests the combinatorial characterization: no age
   class may have both a coned and a cone-free embedding, and the coned part
   of the age must be upward closed under the surjective-homomorphism order.
 
 Agreement of the two on every small graph is part of the acceptance suite.
+
+On a finite graph every injective, surjective, bijective or embedding
+endomorphism is an automorphism, so every target kind other than H means
+"extends to an automorphism".  decide_xy settles those cells exactly:
+
+* (H, Y) holds iff the graph is complete.  A non-edge uv gives the local
+  homomorphism {u->u, v->u}, which no injective map extends; on K_n every
+  local homomorphism is a local isomorphism, and K_n is ultrahomogeneous.
+* (M, Y) holds iff the graph is complete or edgeless.  A non-edge uv and an
+  edge st give the local monomorphism {u->s, v->t}, which no automorphism
+  extends; on K_n and I_n every local monomorphism is a local isomorphism.
+* (I, Y) holds iff every local isomorphism extends to one more vertex as a
+  local isomorphism; on a finite graph these steps close into an
+  automorphism.
+
+(M, H) and (I, H) search for an extension of every local morphism.  A
+one-point extension of a local monomorphism can leave the class of local
+monomorphisms, so no one-point argument is known to be sound there.
 """
 
 from __future__ import annotations
@@ -28,7 +42,6 @@ from .morphisms import (
     PartialMap,
     canonical_code,
     extends_in,
-    is_local_isomorphism,
     search_morphism,
 )
 
@@ -244,9 +257,14 @@ def preceq(a: Graph, b: Graph) -> bool:
 
 # --- direct decider ---------------------------------------------------------
 
+_FINITE_COLLAPSE_NOTE = (
+    "on a finite graph every injective, surjective, bijective or embedding "
+    "endomorphism is an automorphism, so kinds M, E, B, A and I share one verdict"
+)
+
 
 def _local_morphisms(g: Graph, x: str):
-    """Yield (domain, images) for every local x-morphism of g.
+    """Yield (domain, images) for every local x-morphism of g, x in {M, I}.
 
     Domains ascend by size then lexicographically; images ascend
     lexicographically within a domain.
@@ -255,7 +273,6 @@ def _local_morphisms(g: Graph, x: str):
     adj = g.masks
     full = (1 << n) - 1
     respect_non = x == "I"
-    injective = x in ("M", "I")
     for size in range(0, n + 1):
         for domain in combinations(range(n), size):
             images: list[int] = []
@@ -265,15 +282,13 @@ def _local_morphisms(g: Graph, x: str):
                     yield tuple(images)
                     return
                 v = domain[i]
-                allowed = full
+                allowed = full & ~used
                 for j in range(i):
                     u = domain[j]
                     if adj[v] >> u & 1:
                         allowed &= adj[images[j]]
                     elif respect_non:
-                        allowed &= ~adj[images[j]] & ~(1 << images[j])
-                if injective:
-                    allowed &= ~used
+                        allowed &= ~adj[images[j]]
                 for t in _iter_bits(allowed):
                     images.append(t)
                     yield from rec(i + 1, used | 1 << t)
@@ -352,101 +367,75 @@ def _decide_hh_direct(g: Graph) -> HomogReport:
     return HomogReport(verdict=True, x_kind="H", y_kind="H", method="direct")
 
 
-def _decide_m_direct(g: Graph, x: str) -> HomogReport:
-    """One-point route for target kind M over local x-morphisms."""
-    n = g.n
+def _h_search_failure(g: Graph, x: str) -> dict | None:
+    """First local x-morphism, x in {M, I}, that no endomorphism extends."""
+    for domain, images in _local_morphisms(g, x):
+        if extends_in(g, PartialMap(tuple(zip(domain, images))), "H") is None:
+            return _counterexample(domain, images, None, "no extension")
+    return None
+
+
+def _least_pair(g: Graph, adjacent: bool) -> tuple[int, int] | None:
+    """Least pair u < v that is an edge if adjacent, else a non-edge."""
+    for u, v in combinations(range(g.n), 2):
+        if g.has_edge(u, v) == adjacent:
+            return u, v
+    return None
+
+
+def _h_to_automorphism_failure(g: Graph) -> dict | None:
+    """{u->u, v->u} for the least non-edge uv; no injective map extends it."""
+    nonedge = _least_pair(g, False)
+    if nonedge is None:
+        return None
+    u, v = nonedge
+    return _counterexample((u, v), (u, u), None, "a non-edge maps to one vertex")
+
+
+def _m_to_automorphism_failure(g: Graph) -> dict | None:
+    """{u->s, v->t} for the least non-edge uv and the least edge st."""
+    nonedge = _least_pair(g, False)
+    edge = _least_pair(g, True)
+    if nonedge is None or edge is None:
+        return None
+    return _counterexample(nonedge, edge, None, "a non-edge maps onto an edge")
+
+
+def _i_to_automorphism_failure(g: Graph) -> dict | None:
+    """First local isomorphism with a vertex it cannot take on as a local
+    isomorphism."""
     adj = g.masks
-    full = (1 << n) - 1
-    for domain, images in _local_morphisms(g, x):
-        image_mask = 0
-        duplicate = False
-        for t in images:
-            if image_mask >> t & 1:
-                duplicate = True
-                break
-            image_mask |= 1 << t
-        if duplicate:
-            return HomogReport(
-                verdict=False,
-                x_kind=x,
-                y_kind="M",
-                method="direct",
-                counterexample=_counterexample(
-                    domain, images, None, "non-injective map has no injective extension"
-                ),
-            )
+    full = (1 << g.n) - 1
+    for domain, images in _local_morphisms(g, "I"):
         dmask = sum(1 << v for v in domain)
-        for a in range(n):
-            if dmask >> a & 1:
-                continue
-            allowed = full
-            for j, v in enumerate(domain):
-                if adj[a] >> v & 1:
-                    allowed &= adj[images[j]]
-            allowed &= ~image_mask
+        image_mask = sum(1 << t for t in images)
+        for a in _iter_bits(full & ~dmask):
+            allowed = full & ~image_mask
+            for v, t in zip(domain, images):
+                allowed &= adj[t] if adj[a] >> v & 1 else ~adj[t]
             if not allowed:
-                return HomogReport(
-                    verdict=False,
-                    x_kind=x,
-                    y_kind="M",
-                    method="direct",
-                    counterexample=_counterexample(
-                        domain, images, a, "no injective image for the new vertex"
-                    ),
-                )
-    return HomogReport(verdict=True, x_kind=x, y_kind="M", method="direct")
+                reason = "no image for the new vertex keeps a local isomorphism"
+                return _counterexample(domain, images, a, reason)
+    return None
 
 
-def _decide_generic(g: Graph, x: str, y: str) -> HomogReport:
-    note = None
-    if y == "B":
-        note = "bijective endomorphisms of a finite graph are automorphisms; kind B runs the automorphism search"
-    for domain, images in _local_morphisms(g, x):
-        f = PartialMap(tuple(zip(domain, images)))
-        if y in ("M", "E", "B", "A") and len(set(images)) != len(images):
-            return HomogReport(
-                verdict=False,
-                x_kind=x,
-                y_kind=y,
-                method="direct",
-                counterexample=_counterexample(
-                    domain, images, None, "non-injective map cannot extend to this kind"
-                ),
-                note=note,
-            )
-        if y == "I" and not is_local_isomorphism(g, g, f):
-            return HomogReport(
-                verdict=False,
-                x_kind=x,
-                y_kind=y,
-                method="direct",
-                counterexample=_counterexample(
-                    domain,
-                    images,
-                    None,
-                    "map is not a local isomorphism, so no embedding extends it",
-                ),
-                note=note,
-            )
-        if extends_in(g, f, y) is None:
-            return HomogReport(
-                verdict=False,
-                x_kind=x,
-                y_kind=y,
-                method="direct",
-                counterexample=_counterexample(domain, images, None, "no extension"),
-                note=note,
-            )
-    return HomogReport(verdict=True, x_kind=x, y_kind=y, method="direct", note=note)
+_AUTOMORPHISM_FAILURE = {
+    "H": _h_to_automorphism_failure,
+    "M": _m_to_automorphism_failure,
+    "I": _i_to_automorphism_failure,
+}
 
 
 def decide_xy(g: Graph, x: str, y: str, max_order: int = 10) -> HomogReport:
     """Decide whether every local x-morphism extends to a y-endomorphism.
 
-    One-point acceleration is applied where the stepwise argument is sound:
-    (H,H), (H,M) and (M,M).  Remaining combinations run a full extension
-    search per local morphism, which is exponential and only meant for
-    small orders.
+    Each cell has one exact route (proofs in the module docstring).  (H, H)
+    is a one-point cone check.  Every y but H means automorphism here: for
+    x = H the graph must be complete, else a non-edge uv gives {u->u, v->u};
+    for x = M complete or edgeless, else a non-edge uv and an edge st give
+    {u->s, v->t}; for x = I every local isomorphism must extend by one
+    vertex.  (M, H) and (I, H) search for an extension of every local
+    morphism, which is exponential and only meant for small orders.
     """
     if x not in X_KINDS:
         raise ValueError(f"x kind must be one of {X_KINDS!r}, got {x!r}")
@@ -454,11 +443,20 @@ def decide_xy(g: Graph, x: str, y: str, max_order: int = 10) -> HomogReport:
         raise ValueError(f"y kind must be one of {KINDS!r}, got {y!r}")
     if g.n > max_order:
         raise OrderTooLarge(f"direct decider capped at order {max_order}, got {g.n}")
-    if x == "H" and y == "H":
-        return _decide_hh_direct(g)
-    if y == "M" and x in ("H", "M"):
-        return _decide_m_direct(g, x)
-    return _decide_generic(g, x, y)
+    if y == "H":
+        if x == "H":
+            return _decide_hh_direct(g)
+        counterexample, note = _h_search_failure(g, x), None
+    else:
+        counterexample, note = _AUTOMORPHISM_FAILURE[x](g), _FINITE_COLLAPSE_NOTE
+    return HomogReport(
+        verdict=counterexample is None,
+        x_kind=x,
+        y_kind=y,
+        method="direct",
+        counterexample=counterexample,
+        note=note,
+    )
 
 
 def decide_hh_conditions(g: Graph, k: int | None = None, max_order: int = 10) -> HomogReport:

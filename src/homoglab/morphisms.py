@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import OrderTooLarge, SeedNotLocalMorphism
+from .errors import InternalInvariant, OrderTooLarge, SeedNotLocalMorphism
 from .graphs import Graph, _iter_bits
 
 __all__ = [
@@ -204,15 +204,15 @@ def search_morphism(
         return False
 
     if dfs(0):
-        assert validate_total_map(a, b, f, c), "search produced an invalid witness"
+        if not validate_total_map(a, b, f, c):
+            raise InternalInvariant("search produced an invalid witness")
         return f
     return None
 
 
 # Seed requirements per target kind.  A map extending to an injective
 # endomorphism must itself be injective; one extending to an embedding must
-# be a local isomorphism.  Surjective endomorphisms of finite graphs are
-# bijections, so kind E searches with the same constraints as A.
+# be a local isomorphism.
 _KIND_SEED_CHECK = {
     "H": is_local_homomorphism,
     "E": is_local_homomorphism,
@@ -222,23 +222,19 @@ _KIND_SEED_CHECK = {
     "I": is_local_isomorphism,
 }
 
-_KIND_CONSTRAINTS = {
-    "H": MorphismConstraints(),
-    "M": MorphismConstraints(injective=True),
-    "E": MorphismConstraints(injective=True, surjective=True, respect_nonedges=True),
-    "B": MorphismConstraints(injective=True, surjective=True, respect_nonedges=True),
-    "A": MorphismConstraints(injective=True, surjective=True, respect_nonedges=True),
-    "I": MorphismConstraints(injective=True, respect_nonedges=True),
-}
+# On a finite graph an injective, surjective, bijective or embedding
+# endomorphism is an automorphism, so every kind but H searches these maps.
+_AUTOMORPHISM = MorphismConstraints(
+    injective=True, surjective=True, respect_nonedges=True
+)
 
 
 def extends_in(g: Graph, f: PartialMap, kind: str) -> list[int] | None:
     """Total endomorphism of g of the given kind extending f, or None.
 
     Kinds: H any endomorphism, M injective, E surjective, B bijective,
-    A automorphism, I embedding of g into itself.  On finite graphs
-    injective, surjective and bijective endomorphisms all coincide with
-    automorphisms, so E and B run the A search.
+    A automorphism, I embedding of g into itself.  On finite graphs all
+    kinds but H coincide with automorphisms and run the A search.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS!r}, got {kind!r}")
@@ -249,7 +245,8 @@ def extends_in(g: Graph, f: PartialMap, kind: str) -> list[int] | None:
         raise SeedNotLocalMorphism(
             f"seed is not a local morphism of the kind required for {kind}"
         )
-    return search_morphism(g, g, f, _KIND_CONSTRAINTS[kind])
+    constraints = MorphismConstraints() if kind == "H" else _AUTOMORPHISM
+    return search_morphism(g, g, f, constraints)
 
 
 # --- canonical forms -------------------------------------------------------

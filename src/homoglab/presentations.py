@@ -597,9 +597,11 @@ def spanning_rado(
     Requirement witnesses are fresh host cones over A: the least unplaced
     vertex adjacent to all of A.  Only witness-to-A edges enter the
     selection, so B sides hold automatically and permanently.  Raises
-    BudgetExhausted naming the first requirement whose cone search is
-    refuted or runs out of budget.
+    BadParams for negative n, and BudgetExhausted naming the first
+    requirement whose cone search is refuted or runs out of budget.
     """
+    if n < 0:
+        raise BadParams(f"n must be non-negative, got {n}")
     placed: list[int] = []
     placed_set: set[int] = set()
     selected: list[tuple[int, int]] = []

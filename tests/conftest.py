@@ -4,7 +4,7 @@ The oracles here deliberately avoid the package's own search machinery so
 that expected values are computed through a second route.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -81,13 +81,74 @@ def graph_from_bits(n: int, bits: int) -> Graph:
 
 def all_total_homomorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every total endomorphism by direct enumeration (oracle use only)."""
-    from itertools import product
-
     out = []
     for f in product(range(g.n), repeat=g.n):
         if all(g.has_edge(f[u], f[v]) for u, v in g.edges()):
             out.append(f)
     return out
+
+
+def _keeps_nonedges(g: Graph, pairs) -> bool:
+    return all(
+        g.has_edge(u, v) or (fu != fv and not g.has_edge(fu, fv))
+        for (u, fu), (v, fv) in combinations(pairs, 2)
+    )
+
+
+def brute_endomorphisms(g: Graph) -> dict[str, list[tuple[int, ...]]]:
+    """Every total endomorphism of each kind, each kind checked by its own
+    definition: H any, M injective, E surjective, B bijective, A a
+    bijection whose inverse is a homomorphism, I an embedding.  Nothing
+    here assumes that the kinds coincide on finite graphs."""
+    vertices = set(range(g.n))
+    out: dict[str, list[tuple[int, ...]]] = {kind: [] for kind in "HMEBAI"}
+    for f in all_total_homomorphisms(g):
+        injective = len(set(f)) == g.n
+        surjective = set(f) == vertices
+        keeps = injective and _keeps_nonedges(g, tuple(enumerate(f)))
+        for kind, member in (
+            ("H", True),
+            ("M", injective),
+            ("E", surjective),
+            ("B", injective and surjective),
+            ("A", injective and surjective and keeps),
+            ("I", keeps),
+        ):
+            if member:
+                out[kind].append(f)
+    return out
+
+
+def brute_local_morphisms(g: Graph) -> dict[str, set[tuple[tuple[int, int], ...]]]:
+    """Every local x-morphism for x in H, M, I, as its (source, target)
+    pairs in ascending source order, by enumerating all partial maps."""
+    out: dict[str, set[tuple[tuple[int, int], ...]]] = {x: set() for x in "HMI"}
+    for size in range(g.n + 1):
+        for domain in combinations(range(g.n), size):
+            for images in product(range(g.n), repeat=size):
+                pairs = tuple(zip(domain, images))
+                if any(
+                    g.has_edge(u, v) and not g.has_edge(fu, fv)
+                    for (u, fu), (v, fv) in combinations(pairs, 2)
+                ):
+                    continue
+                out["H"].add(pairs)
+                if len(set(images)) == size:
+                    out["M"].add(pairs)
+                    if _keeps_nonedges(g, pairs):
+                        out["I"].add(pairs)
+    return out
+
+
+def brute_extendable(g: Graph) -> dict[str, set[tuple[tuple[int, int], ...]]]:
+    """Per kind, every partial map that is the restriction of an
+    endomorphism of that kind, in the pair form of brute_local_morphisms.
+    A local morphism extends to the kind exactly when it lies in the set."""
+    domains = [d for size in range(g.n + 1) for d in combinations(range(g.n), size)]
+    return {
+        kind: {tuple((u, f[u]) for u in d) for f in endos for d in domains}
+        for kind, endos in brute_endomorphisms(g).items()
+    }
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from homoglab import morphisms
 from homoglab.cli import run
 from homoglab.formats import read_graph, write_graph
 from homoglab.graphs import complete_graph, path_graph
@@ -77,6 +78,15 @@ class TestCheck:
             run(["check", target, "--x", "M", "--y", "H", "--method", "conditions"])
             == 2
         )
+
+    def test_internal_invariant_exits_four(self, tmp_path, capsys, monkeypatch):
+        # (M, H) replays every local monomorphism through the morphism
+        # search, whose witness check is made to fail here.
+        monkeypatch.setattr(morphisms, "validate_total_map", lambda *args: False)
+        target = str(tmp_path / "k3.g6")
+        write_graph(complete_graph(3), target)
+        assert run(["check", target, "--x", "M", "--y", "H"]) == 4
+        assert capsys.readouterr().out == ""
 
     def test_methods_agree(self, tmp_path, capsys):
         target = str(tmp_path / "p5.g6")
@@ -163,6 +173,10 @@ class TestRadoSpan:
         assert code == 3
         assert set(report["payload"]["requirement"]["cone_over"]) >= {0, 1, 2}
 
+    def test_negative_n_rejected(self, capsys):
+        assert run(["rado-span", "rado_bit", "--n", "-3"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestClassify:
     def test_rado(self, capsys):
@@ -220,13 +234,6 @@ class TestVerify:
             1: 1, 2: 2, 3: 4, 4: 11
         }
 
-
-class TestThreadsGuard:
-    def test_bad_value_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("HOMOGLAB_THREADS", "zero")
-        assert run(["classify", "rado_bit"]) == 2
-
-    def test_good_value_accepted(self, monkeypatch, capsys):
-        monkeypatch.setenv("HOMOGLAB_THREADS", "4")
-        code, _ = run_json(capsys, ["witness", "rado_bit", "--cone", "0"])
-        assert code == 0
+    def test_cross_validate_beyond_cap_rejected(self, capsys):
+        assert run(["verify", "cross-validate", "--n-max", "9"]) == 2
+        assert capsys.readouterr().out == ""

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from homoglab.errors import OrderTooLarge
 from homoglab.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -24,7 +25,11 @@ from homoglab.homogeneity import (
 )
 from homoglab.morphisms import PartialMap, canonical_code, enumerate_graphs, extends_in
 
-from conftest import graph_from_bits
+from conftest import (
+    brute_extendable,
+    brute_local_morphisms,
+    graph_from_bits,
+)
 
 
 @st.composite
@@ -216,16 +221,27 @@ class TestDecideConditions:
 class TestCatalogCrossChecks:
     """Verdicts against classical catalogs of finite homogeneous graphs."""
 
-    def test_ultrahomogeneous_catalog_up_to_order_5(self):
-        # Equal-size clique unions, their complements, and C_5 are the
-        # finite ultrahomogeneous graphs on <= 5 vertices: per order
-        # 1, 2, 2, 4, 3.
+    def test_ultrahomogeneous_catalog_up_to_order_6(self):
+        # Gardiner (1976): the finite ultrahomogeneous graphs are the
+        # equal-size clique unions mK_r, their complements, C_5 and
+        # K_3 x K_3.  Per order 1..6 that is 1, 2, 2, 4, 3, 6; order 6 has
+        # K6, I6, 2K3, 3K2, K3,3 and K2,2,2.
         counts = {}
-        for n in range(1, 6):
+        for n in range(1, 7):
             counts[n] = sum(
                 1 for g in enumerate_graphs(n) if decide_xy(g, "I", "A").verdict
             )
-        assert counts == {1: 1, 2: 2, 3: 2, 4: 4, 5: 3}
+        assert counts == {1: 1, 2: 2, 3: 2, 4: 4, 5: 3, 6: 6}
+        # K_3 x K_3 on divmod(v, 3): adjacent when sharing a row or column.
+        rook = Graph(
+            9,
+            (
+                (u, v)
+                for u, v in combinations(range(9), 2)
+                if u // 3 == v // 3 or u % 3 == v % 3
+            ),
+        )
+        assert decide_xy(rook, "I", "A").verdict
 
     def test_mh_equals_hh_up_to_order_5(self):
         for n in range(1, 6):
@@ -243,13 +259,32 @@ class TestCatalogCrossChecks:
     def test_finite_collapse_of_target_kinds(self):
         # Injective, surjective, bijective and embedding endomorphisms all
         # coincide with automorphisms on finite graphs, so kinds M, E, B,
-        # A, I must give one verdict; this also pits the accelerated M
-        # route against the generic search.
+        # A, I must give one verdict.
         for n in range(1, 5):
             for g in enumerate_graphs(n):
                 for x in "HMI":
                     verdicts = {decide_xy(g, x, y).verdict for y in "MEBAI"}
                     assert len(verdicts) == 1
+
+    def test_all_cells_match_brute_oracle_up_to_order_5(self):
+        # Verdicts against endomorphisms enumerated kind by kind.  Every
+        # counterexample is a local x-morphism that no y-endomorphism
+        # restricts to, and a named vertex has no image keeping it local.
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                local = brute_local_morphisms(g)
+                extendable = brute_extendable(g)
+                for x in "HMI":
+                    for y in "HMEBAI":
+                        report = decide_xy(g, x, y)
+                        assert report.verdict == (local[x] <= extendable[y])
+                        if not report.verdict:
+                            f = tuple(tuple(p) for p in report.counterexample["map"])
+                            assert f in local[x] and f not in extendable[y]
+                            a = report.counterexample["unextendable_vertex"]
+                            if a is not None:
+                                for t in range(n):
+                                    assert tuple(sorted(f + ((a, t),))) not in local[x]
 
     def test_m_counterexamples_replay(self):
         # A returned counterexample either fails the seed-kind requirement

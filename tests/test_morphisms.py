@@ -5,7 +5,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homoglab.errors import OrderTooLarge, SeedNotLocalMorphism
+from homoglab import morphisms
+from homoglab.errors import InternalInvariant, OrderTooLarge, SeedNotLocalMorphism
 from homoglab.graphs import (
     Graph,
     complete_graph,
@@ -78,6 +79,12 @@ class TestSearchMorphism:
     def test_inconsistent_seed_gives_none(self):
         seed = PartialMap([(0, 0), (1, 0)])  # edge collapsed to a vertex
         assert search_morphism(path_graph(2), complete_graph(2), seed) is None
+
+    def test_invalid_witness_raises_internal_invariant(self, monkeypatch):
+        # A typed error, not an assert, so that python -O keeps the check.
+        monkeypatch.setattr(morphisms, "validate_total_map", lambda *args: False)
+        with pytest.raises(InternalInvariant):
+            search_morphism(path_graph(3), complete_graph(2))
 
     @given(graphs(), graphs())
     @settings(max_examples=40)
