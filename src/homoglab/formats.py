@@ -24,6 +24,10 @@ FORMATS = ("graph6", "edges")
 
 _G6_HEADER = ">>graph6<<"
 
+# Largest order the graph6 writer can encode; the edge-list reader rejects
+# anything above it before a single vertex is allocated.
+_MAX_ORDER = 258047
+
 
 def _g6_bits(g: Graph) -> list[int]:
     bits = []
@@ -36,8 +40,8 @@ def _g6_bits(g: Graph) -> list[int]:
 
 def graph_to_graph6(g: Graph) -> str:
     n = g.n
-    if n > 258047:
-        raise FormatError("graph6 writer supports at most 258047 vertices")
+    if n > _MAX_ORDER:
+        raise FormatError(f"graph6 writer supports at most {_MAX_ORDER} vertices")
     if n <= 62:
         head = [n + 63]
     else:
@@ -111,6 +115,8 @@ def graph_from_edgelist(text: str) -> Graph:
         n = int(header[1])
     except ValueError as exc:
         raise FormatError(f"bad order {header[1]!r} in edge-list header") from exc
+    if n > _MAX_ORDER:
+        raise FormatError(f"edge-list order {n} exceeds the limit of {_MAX_ORDER}")
     edges = []
     for parts in tokens[1:]:
         if len(parts) != 2:

@@ -264,10 +264,17 @@ def is_connected(g: Graph) -> bool:
 
 # --- exact independence machinery -----------------------------------------
 #
-# alpha(g) is the clique number of the complement, computed by branch and
-# bound with a greedy colouring bound.  Witnesses are extracted separately
-# so that the reported set is always the lexicographically least maximum
-# independent set.
+# Independent sets of g are cliques of its complement, and two searches
+# over the complement masks serve every caller.  Both prune with the same
+# greedy colouring bound: a candidate set split into c colour classes holds
+# no clique of more than c vertices.
+#
+# * Size and witness: _max_clique_size finds the clique number by branch
+#   and bound; _lex_least_clique then builds the lexicographically least
+#   clique of that size one vertex at a time, asking _exists_clique whether
+#   each choice can still be completed.
+# * Tie enumeration: directories runs one branch and bound at the fixed
+#   size alpha and keeps every clique that reaches it.
 
 
 def _co_masks(g: Graph) -> tuple[int, ...]:
@@ -292,8 +299,14 @@ def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
     return order
 
 
-def _max_clique_size(adj: tuple[int, ...], cand: int) -> int:
-    best = 0
+def _max_clique_size(adj: tuple[int, ...], cand: int, floor: int = 0) -> int:
+    """Clique number of cand, or floor when no clique within cand is larger.
+
+    Branches that cannot beat floor are cut, so a caller maximising over
+    several candidate sets passes its incumbent and skips the sets that
+    cannot improve on it.
+    """
+    best = floor
 
     def expand(size: int, cand: int) -> None:
         nonlocal best
@@ -389,7 +402,7 @@ def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
         nbhd = g.masks[v]
         if nbhd.bit_count() <= best:
             continue
-        size = _max_clique_size(co, nbhd)
+        size = _max_clique_size(co, nbhd, best)
         if size > best:
             best, best_v = size, v
     witness = _lex_least_clique(co, g.masks[best_v], best)
@@ -401,7 +414,10 @@ def directories(g: Graph) -> list[list[int]]:
 
     For finite graphs these are exactly the maximum independent sets: a
     maximum independent set is maximal, and maximal independent sets
-    dominate.  Requires star number >= 1.
+    dominate.  After alpha is known, one branch and bound over the
+    complement collects every clique of exactly that size, cutting a branch
+    as soon as its colouring bound falls short of the vertices still
+    needed.  Requires star number >= 1.
     """
     if not any(g.masks):
         raise StarNumberZero("directories are undefined for edgeless graphs")
@@ -410,18 +426,22 @@ def directories(g: Graph) -> list[list[int]]:
     alpha = _max_clique_size(co, full)
     found: list[list[int]] = []
 
-    def rec(cand: int, chosen: list[int], need: int) -> None:
-        if need == 0:
-            found.append(chosen.copy())
+    def expand(chosen: list[int], cand: int) -> None:
+        need = alpha - len(chosen)
+        if not need:
+            found.append(sorted(chosen))
             return
-        for v in _iter_bits(cand):
-            rest = cand & co[v] & (-1 << (v + 1))
-            if _exists_clique(co, rest, need - 1):
-                chosen.append(v)
-                rec(rest, chosen, need - 1)
-                chosen.pop()
+        local = cand
+        for v, c in reversed(_color_order(co, cand)):
+            if c < need:
+                return
+            chosen.append(v)
+            expand(chosen, local & co[v])
+            chosen.pop()
+            local ^= 1 << v
 
-    rec(full, [], alpha)
+    expand([], full)
+    found.sort()
     return found
 
 

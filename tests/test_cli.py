@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from homoglab import morphisms
+from homoglab import formats, morphisms
 from homoglab.cli import run
 from homoglab.formats import read_graph, write_graph
 from homoglab.graphs import complete_graph, path_graph
@@ -52,6 +52,16 @@ class TestAnalyze:
 
     def test_missing_file(self, capsys):
         assert run(["analyze", "/nonexistent.g6"]) == 2
+
+    def test_edgelist_order_over_cap(self, tmp_path, capsys, monkeypatch):
+        def no_graph(n, edges):
+            raise AssertionError(f"Graph({n}) would be allocated")
+
+        monkeypatch.setattr(formats, "Graph", no_graph)
+        target = tmp_path / "huge.edges"
+        target.write_text("p 300000000\n0 1\n")
+        assert run(["analyze", str(target), "--format", "edges"]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homoglab import formats
 from homoglab.errors import FormatError
 from homoglab.formats import (
     graph_from_edgelist,
@@ -63,6 +64,18 @@ def test_malformed_inputs(bad):
             graph_from_edgelist(bad)
         else:
             graph_from_graph6(bad)
+
+
+def test_edgelist_order_cap(monkeypatch):
+    # A stub stands in for Graph, so no order here allocates any vertices.
+    orders = []
+    monkeypatch.setattr(formats, "Graph", lambda n, edges: orders.append(n))
+    graph_from_edgelist("p 258047\n0 1\n")
+    assert orders == [258047]
+    for order in (258048, 300000000):
+        with pytest.raises(FormatError, match="exceeds the limit of 258047"):
+            graph_from_edgelist(f"p {order}\n0 1\n")
+    assert orders == [258047]
 
 
 @given(st.text(max_size=40))

@@ -1,7 +1,8 @@
 """Core graph operations: construction, products, neighbourhoods, and the
 independence machinery with its directory-based quantities."""
 
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from homoglab.graphs import (
     star_number,
 )
 from homoglab.morphisms import canonical_code
+from homoglab.verify import random_graph
 
 from conftest import (
     brute_alpha,
@@ -247,6 +249,41 @@ class TestDirectories:
         alpha, _ = independence_number(g)
         expected = [list(s) for s in brute_independent_dominating_of_size(g, alpha)]
         assert directories(g) == expected
+
+    def test_tie_heavy_fixtures(self):
+        pairs = [(2 * i, 2 * i + 1) for i in range(10)]
+        ten_k2 = Graph(20, pairs)
+        transversals = [list(t) for t in product(*pairs)]
+        dirs = directories(ten_k2)
+        assert len(dirs) == 1024
+        assert dirs == transversals
+        assert dirs[0] == independence_number(ten_k2)[1]
+        for g in (cycle_graph(6), lex_product(cycle_graph(9), empty_graph(2))):
+            alpha, witness = independence_number(g)
+            expected = [list(s) for s in brute_independent_dominating_of_size(g, alpha)]
+            dirs = directories(g)
+            assert dirs == expected
+            assert dirs[0] == witness
+
+    def test_matches_networkx_at_order_20_to_40(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(20240)
+        for p in (0.1, 0.2, 0.5):
+            for _ in range(10):
+                g = random_graph(rng, rng.randint(20, 40), p)
+                if g.edge_count() == 0:
+                    continue
+                G = nx.Graph()
+                G.add_nodes_from(range(g.n))
+                G.add_edges_from(g.edges())
+                co = nx.complement(G)
+                alpha = nx.max_weight_clique(co, weight=None)[1]
+                expected = sorted(
+                    sorted(c) for c in nx.find_cliques(co) if len(c) == alpha
+                )
+                dirs = directories(g)
+                assert dirs == expected
+                assert dirs[0] == independence_number(g)[1]
 
     def test_is_directory_modes(self, rs3_m2):
         assert is_directory(rs3_m2, [0, 1, 2])
