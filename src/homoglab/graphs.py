@@ -602,12 +602,15 @@ class AnalysisReport:
 
 
 def analyze(g: Graph) -> AnalysisReport:
-    """Compute alpha, sigma, all directories and connectivity in one pass."""
-    alpha, alpha_wit = independence_number(g)
+    """Compute alpha, sigma, all directories and connectivity in one pass.
+
+    With an edge present, the first directory is the lexicographically
+    least maximum independent set, so alpha and its witness are read off
+    it instead of searched for again.
+    """
     sigma, sigma_wit = star_number(g)
-    dirs: tuple[tuple[int, ...], ...] = ()
-    if sigma >= 1:
-        dirs = tuple(tuple(d) for d in directories(g))
+    dirs = tuple(tuple(d) for d in directories(g)) if sigma >= 1 else ()
+    alpha, alpha_wit = (len(dirs[0]), dirs[0]) if dirs else independence_number(g)
     witness = None
     if sigma_wit is not None:
         witness = (sigma_wit[0], tuple(sigma_wit[1]))

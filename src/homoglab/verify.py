@@ -19,10 +19,9 @@ from .errors import OrderTooLarge, StarNumberZero
 from .graphs import (
     Graph,
     _iter_bits,
+    _list_of,
     _require_base,
-    common_neighborhood,
     domination_number,
-    exact_neighborhood,
     independence_number,
     induced_subgraph,
     star_number,
@@ -76,6 +75,38 @@ def rs_truncation(n: int = 3, parts: int = 2) -> Graph:
     return truncate(make_presentation("rs", n), n + parts * n)
 
 
+def _coned_subsets(masks: tuple[int, ...], pool, limit: int):
+    """Every nonempty subset of pool with at most limit members and a common
+    neighbour, with its cone mask, in lexicographic pre-order."""
+    chosen: list[int] = []
+
+    def walk(start: int, cone: int):
+        if len(chosen) >= limit:
+            return
+        for idx in range(start, len(pool)):
+            v = pool[idx]
+            sub = cone & masks[v]
+            if sub:
+                chosen.append(v)
+                yield tuple(chosen), sub
+                yield from walk(idx + 1, sub)
+                chosen.pop()
+
+    return walk(0, (1 << len(masks)) - 1)
+
+
+def _address_table(g: Graph, imask: int) -> tuple[list[int], dict[int, int]]:
+    """The address mask of every vertex, and for every mask s of index-set
+    vertices the mask of the vertices whose neighbours there are exactly s."""
+    addr_mask = []
+    exact: dict[int, int] = {}
+    for v, m in enumerate(g.masks):
+        s = m & imask
+        exact[s] = exact.get(s, 0) | 1 << v
+        addr_mask.append(1 << v if imask >> v & 1 else s)
+    return addr_mask, exact
+
+
 def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
     """Check the three directory statements on one graph.
 
@@ -95,45 +126,32 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
        {x}, which never dominates x itself, so only when sigma is 1 would
        they enter at all, vacuously for 3a and falsifying the literal
        domination statement whose argument assumes the address sits inside
-       the neighbourhood.
+       the neighbourhood.  The meet lies in the index set and holds the
+       meet of the addresses of x and z, so it dominates x exactly when 3a
+       holds for (x, z): the 3b failures are read off the 3a ones.
     """
     start = time.perf_counter()
     imask = _require_base(g, i)
     sigma, _ = star_number(g)
     if sigma < 1:
         raise StarNumberZero("directory lemmas need star number at least 1")
-    iset = sorted(set(i))
     failures: list[dict] = []
     checked = 0
-
-    addr_mask = [0] * g.n
-    for v in range(g.n):
-        addr_mask[v] = (1 << v) if imask >> v & 1 else g.masks[v] & imask
+    addr_mask, exact = _address_table(g, imask)
 
     # Clause 1: exact neighbourhood of sigma-sized S equals N(S).
-    def sigma_subsets_with_cones(chosen: list[int], pool: list[int], mask: int):
-        if len(chosen) == sigma:
-            yield tuple(chosen), mask
-            return
-        for idx, v in enumerate(pool):
-            new_mask = mask & g.masks[v]
-            if new_mask:
-                chosen.append(v)
-                yield from sigma_subsets_with_cones(chosen, pool[idx + 1 :], new_mask)
-                chosen.pop()
-
-    full = (1 << g.n) - 1
-    for subset, cone_mask in sigma_subsets_with_cones([], iset, full):
+    for subset, cone in _coned_subsets(g.masks, _list_of(imask), sigma):
+        if len(subset) < sigma:
+            continue
         checked += 1
-        exact = exact_neighborhood(g, iset, subset)
-        common = common_neighborhood(g, subset)
-        if exact != common:
+        members = exact.get(sum(1 << v for v in subset), 0)
+        if members != cone:
             failures.append(
                 {
                     "clause": "exact-neighbourhood-equals-common",
                     "subset": list(subset),
-                    "exact": exact,
-                    "common": common,
+                    "exact": _list_of(members),
+                    "common": _list_of(cone),
                 }
             )
 
@@ -153,66 +171,52 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
                 {
                     "clause": "disjoint-exact-neighbourhoods-no-edges",
                     "edge": [u, v],
-                    "subset_s": sorted(_iter_bits(su)),
-                    "subset_t": sorted(_iter_bits(sv)),
+                    "subset_s": _list_of(su),
+                    "subset_t": _list_of(sv),
                 }
             )
 
     # Clause 3a: cones over sigma-addressed vertices intersect their address.
+    # stray[x] keeps the neighbours whose address misses that of x.
     sigma_addressed = [
         v
         for v in range(g.n)
         if not imask >> v & 1 and addr_mask[v].bit_count() == sigma
     ]
+    stray = [0] * g.n
     for x in sigma_addressed:
         for z in _iter_bits(g.masks[x]):
             checked += 1
             if not addr_mask[z] & addr_mask[x]:
+                stray[x] |= 1 << z
                 failures.append(
                     {
                         "clause": "cone-address-intersects",
                         "vertex": x,
                         "cone": z,
-                        "address_x": sorted(_iter_bits(addr_mask[x])),
-                        "address_z": sorted(_iter_bits(addr_mask[z])),
+                        "address_x": _list_of(addr_mask[x]),
+                        "address_z": _list_of(addr_mask[z]),
                     }
                 )
 
     # Clause 3b: for X of sigma-addressed vertices, the meet of the cone's
     # address with the address union of X dominates X.
-    def x_sets(chosen: list[int], pool: list[int], cone_mask: int):
-        if chosen:
-            yield tuple(chosen), cone_mask
-        if len(chosen) == 4:
-            return
-        for idx, v in enumerate(pool):
-            new_mask = cone_mask & g.masks[v]
-            if new_mask:
-                chosen.append(v)
-                yield from x_sets(chosen, pool[idx + 1 :], new_mask)
-                chosen.pop()
-
-    for xs, cone_mask in x_sets([], sigma_addressed, full):
-        addr_x_union = 0
+    for xs, cone in _coned_subsets(g.masks, sigma_addressed, 4):
+        checked += cone.bit_count()
+        strays = union = 0
         for x in xs:
-            addr_x_union |= addr_mask[x]
-        for z in _iter_bits(cone_mask):
-            checked += 1
-            meet = addr_mask[z] & addr_x_union
-            covered = 0
-            for d in _iter_bits(meet):
-                covered |= g.masks[d]
-            missing = [x for x in xs if not covered >> x & 1]
-            if missing:
-                failures.append(
-                    {
-                        "clause": "cone-address-dominates",
-                        "x_set": list(xs),
-                        "cone": z,
-                        "meet": sorted(_iter_bits(meet)),
-                        "undominated": missing,
-                    }
-                )
+            strays |= stray[x]
+            union |= addr_mask[x]
+        for z in _iter_bits(cone & strays):
+            failures.append(
+                {
+                    "clause": "cone-address-dominates",
+                    "x_set": list(xs),
+                    "cone": z,
+                    "meet": _list_of(addr_mask[z] & union),
+                    "undominated": [x for x in xs if stray[x] >> z & 1],
+                }
+            )
 
     return SuiteReport(
         suite="directory-lemmas",
@@ -242,6 +246,10 @@ def verify_directory_lemmas_random(
     maximum independent set is independent, maximal, hence dominating.
     Edgeless samples are redrawn.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if max_order < max(min_order, 2):
+        raise ValueError(f"max_order {max_order} is below min_order {min_order} or below 2")
     start = time.perf_counter()
     rng = random.Random(seed)
     failures: list[dict] = []
@@ -285,32 +293,24 @@ def verify_neighbor_richness(g: Graph, i, threshold: int) -> SuiteReport:
     sigma, _ = star_number(g)
     if sigma < 1:
         raise StarNumberZero("richness checks need star number at least 1")
-    iset = sorted(set(i))
-    k_of: dict[tuple[int, ...], int] = {}
-    for subset in combinations(iset, sigma):
-        smask = sum(1 << v for v in subset)
-        members = 0
-        for v in range(g.n):
-            if g.masks[v] & imask == smask:
-                members |= 1 << v
-        k_of[subset] = members
+    _, exact = _address_table(g, imask)
+    subsets = [sum(1 << v for v in s) for s in combinations(_list_of(imask), sigma)]
     failures = []
     checked = 0
-    for s_set, s_members in k_of.items():
-        smask = sum(1 << v for v in s_set)
-        for t_set, t_members in k_of.items():
-            tmask = sum(1 << v for v in t_set)
+    for smask in subsets:
+        for tmask in subsets:
             if not smask & tmask:
                 continue
-            for v in _iter_bits(s_members):
+            t_members = exact.get(tmask, 0)
+            for v in _iter_bits(exact.get(smask, 0)):
                 checked += 1
                 got = (g.masks[v] & t_members).bit_count()
                 if got < threshold:
                     failures.append(
                         {
                             "clause": "richness-threshold",
-                            "subset_s": list(s_set),
-                            "subset_t": list(t_set),
+                            "subset_s": _list_of(smask),
+                            "subset_t": _list_of(tmask),
                             "vertex": v,
                             "count": got,
                             "threshold": threshold,
@@ -367,6 +367,8 @@ def verify_alpha_bound_family(
     """
     start = time.perf_counter()
     n_values = list(n_values)
+    if not n_values or not part_sizes:
+        raise ValueError("n_values and part_sizes must both be nonempty")
     if any(n < 3 or n > 8 for n in n_values):
         raise ValueError("rs truncations are checked for n in 3..8")
     failures = []
@@ -427,6 +429,8 @@ def cross_validate_hh(n_max: int, closure_set_max: int = 2) -> SuiteReport:
     deciders call HH and every nonempty S (up to closure_set_max) with
     nonempty N(S), the subgraph induced by N(S) must again be HH.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max > 7:
         raise OrderTooLarge("cross validation is specified for orders up to 7")
     start = time.perf_counter()
@@ -456,23 +460,20 @@ def cross_validate_hh(n_max: int, closure_set_max: int = 2) -> SuiteReport:
                 continue
             if direct.verdict:
                 positives.append(g)
-                for size in range(1, closure_set_max + 1):
-                    for s in combinations(range(n), size):
-                        nbhd = common_neighborhood(g, s)
-                        if not nbhd:
-                            continue
-                        checked += 1
-                        sub, _ = induced_subgraph(g, nbhd)
-                        if not decide_xy(sub, "H", "H").verdict:
-                            failures.append(
-                                {
-                                    "clause": "neighborhood-closure",
-                                    "order": n,
-                                    "edges": list(g.edges()),
-                                    "subset": list(s),
-                                    "neighborhood": nbhd,
-                                }
-                            )
+                for s, cone in _coned_subsets(g.masks, range(n), closure_set_max):
+                    checked += 1
+                    nbhd = _list_of(cone)
+                    sub, _ = induced_subgraph(g, nbhd)
+                    if not decide_xy(sub, "H", "H").verdict:
+                        failures.append(
+                            {
+                                "clause": "neighborhood-closure",
+                                "order": n,
+                                "edges": list(g.edges()),
+                                "subset": list(s),
+                                "neighborhood": nbhd,
+                            }
+                        )
     return SuiteReport(
         suite="cross-validate-hh",
         instances=checked,

@@ -8,7 +8,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from homoglab.graphs import Graph
+from homoglab.graphs import Graph, address, common_neighborhood, exact_neighborhood
 
 
 def petersen() -> Graph:
@@ -149,6 +149,91 @@ def brute_extendable(g: Graph) -> dict[str, set[tuple[tuple[int, int], ...]]]:
         kind: {tuple((u, f[u]) for u in d) for f in endos for d in domains}
         for kind, endos in brute_endomorphisms(g).items()
     }
+
+
+def brute_directory_lemmas(g: Graph, i, sigma: int) -> tuple[int, list[dict]]:
+    """Instances and failure records of verify_directory_lemmas at the given
+    sigma, each clause checked literally from its statement: clause 1 by
+    exact and common neighbourhoods, clause 2 by the edge rule on
+    addresses, clause 3a by address intersection and clause 3b by
+    OR-ing the neighbourhoods of the meet."""
+    iset = sorted(set(i))
+    addr = {v: address(g, iset, v) for v in range(g.n)}
+    instances = 0
+    failures: list[dict] = []
+    for s in combinations(iset, sigma):
+        common = common_neighborhood(g, s)
+        if not common:
+            continue
+        instances += 1
+        exact = exact_neighborhood(g, iset, s)
+        if exact != common:
+            failures.append({"clause": "exact-neighbourhood-equals-common",
+                             "subset": list(s), "exact": exact, "common": common})
+    for u, v in g.edges():
+        instances += 1
+        if (u not in iset and v not in iset and len(addr[u]) == sigma
+                and len(addr[v]) == sigma and not set(addr[u]) & set(addr[v])):
+            failures.append({"clause": "disjoint-exact-neighbourhoods-no-edges",
+                             "edge": [u, v], "subset_s": addr[u], "subset_t": addr[v]})
+    pool = [v for v in range(g.n) if v not in iset and len(addr[v]) == sigma]
+    for x in pool:
+        for z in g.neighbors(x):
+            instances += 1
+            if not set(addr[x]) & set(addr[z]):
+                failures.append({"clause": "cone-address-intersects", "vertex": x,
+                                 "cone": z, "address_x": addr[x], "address_z": addr[z]})
+    # Lexicographic order of the tuples is the pre-order of the subset tree.
+    x_sets = sorted(
+        xs for size in range(1, 5) for xs in combinations(pool, size)
+        if common_neighborhood(g, xs)
+    )
+    for xs in x_sets:
+        union = set().union(*(addr[x] for x in xs))
+        for z in common_neighborhood(g, xs):
+            instances += 1
+            meet = sorted(set(addr[z]) & union)
+            covered = 0
+            for d in meet:
+                covered |= g.masks[d]
+            undominated = [x for x in xs if not covered >> x & 1]
+            if undominated:
+                failures.append({"clause": "cone-address-dominates", "x_set": list(xs),
+                                 "cone": z, "meet": meet, "undominated": undominated})
+    return instances, failures
+
+
+def brute_neighbor_richness(g: Graph, i, sigma: int, threshold: int) -> tuple[int, list[dict]]:
+    """Instances and failure records of verify_neighbor_richness at the
+    given sigma, from exact neighbourhoods of every sigma-subset."""
+    iset = sorted(set(i))
+    k_of = {s: exact_neighborhood(g, iset, s) for s in combinations(iset, sigma)}
+    instances = 0
+    failures: list[dict] = []
+    for s, s_members in k_of.items():
+        for t, t_members in k_of.items():
+            if not set(s) & set(t):
+                continue
+            for v in s_members:
+                instances += 1
+                count = len(set(g.neighbors(v)) & set(t_members))
+                if count < threshold:
+                    failures.append({"clause": "richness-threshold", "subset_s": list(s),
+                                     "subset_t": list(t), "vertex": v, "count": count,
+                                     "threshold": threshold})
+    return instances, failures
+
+
+def random_maximal_independent(rng, g: Graph) -> list[int]:
+    """A maximal, not necessarily maximum, independent set: greedy over a
+    shuffled vertex order."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    chosen: set[int] = set()
+    for v in order:
+        if not chosen & set(g.neighbors(v)):
+            chosen.add(v)
+    return sorted(chosen)
 
 
 @pytest.fixture(scope="session")

@@ -244,6 +244,23 @@ class TestVerify:
             1: 1, 2: 2, 3: 4, 4: 11
         }
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["directory-lemmas", "--random", "--count", "0"], "count"),
+            (["directory-lemmas", "--random", "--count", "-3"], "count"),
+            (["directory-lemmas", "--random", "--max-order", "3"], "max_order"),
+            (["cross-validate", "--n-max", "0"], "n_max"),
+            (["cross-validate", "--n-max", "-2"], "n_max"),
+            (["alpha-bound", "--n-min", "5", "--n-max", "4"], "n_values"),
+        ],
+    )
+    def test_empty_runs_rejected(self, capsys, argv, name):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err
+
     def test_cross_validate_beyond_cap_rejected(self, capsys):
         assert run(["verify", "cross-validate", "--n-max", "9"]) == 2
         assert capsys.readouterr().out == ""

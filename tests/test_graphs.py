@@ -370,6 +370,30 @@ class TestAnalyze:
         assert report.directories == ((0, 1, 2),)
         assert report.is_connected
 
+    def test_matches_separate_calls(self):
+        # analyze reads alpha off the first directory; the separate calls
+        # search for it again.
+        rng = random.Random(31)
+        graphs = [empty_graph(0), empty_graph(3)]
+        graphs += [
+            random_graph(rng, rng.randint(1, 14), rng.choice((0.1, 0.3, 0.6, 0.9)))
+            for _ in range(40)
+        ]
+        for g in graphs:
+            report = analyze(g)
+            alpha, alpha_wit = independence_number(g)
+            sigma, sigma_wit = star_number(g)
+            assert report.independence_number == alpha
+            assert report.alpha_witness == tuple(alpha_wit)
+            assert report.star_number == sigma
+            assert report.sigma_witness == (
+                None if sigma_wit is None else (sigma_wit[0], tuple(sigma_wit[1]))
+            )
+            assert report.directories == (
+                tuple(tuple(d) for d in directories(g)) if sigma else ()
+            )
+            assert report.is_connected == is_connected(g)
+
     def test_disconnected(self):
         g = disjoint_union(complete_graph(2), complete_graph(2))
         assert not analyze(g).is_connected

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from homoglab import verify
 from homoglab.errors import NotADirectoryBase, OrderTooLarge, StarNumberZero
 from homoglab.graphs import (
     complete_graph,
@@ -23,6 +24,12 @@ from homoglab.verify import (
     verify_directory_lemmas,
     verify_directory_lemmas_random,
     verify_neighbor_richness,
+)
+
+from conftest import (
+    brute_directory_lemmas,
+    brute_neighbor_richness,
+    random_maximal_independent,
 )
 
 
@@ -78,6 +85,81 @@ class TestDirectoryLemmas:
                             literal.append((v, w))
             assert bool(edge_scan) == bool(literal)
             assert not literal  # the statement itself holds unconditionally
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """Seeded random graphs with random maximal bases, each paired with the
+    true star number and one off either side.  Off by one below, every
+    clause of the directory lemmas raises failure records."""
+    rng = random.Random(4242)
+    cases = []
+    while len(cases) < 160:
+        g = random_graph(rng, rng.randint(3, 12), rng.choice((0.2, 0.4, 0.6, 0.8)))
+        if g.edge_count() == 0:
+            continue
+        base = random_maximal_independent(rng, g)
+        sigma, _ = star_number(g)
+        cases.extend((g, base, s) for s in (sigma - 1, sigma, sigma + 1) if s >= 1)
+    return cases
+
+
+class TestLemmaOracle:
+    def test_directory_lemmas_match_oracle(self, oracle_cases, monkeypatch):
+        clauses = set()
+        for g, base, sigma in oracle_cases:
+            monkeypatch.setattr(verify, "star_number", lambda g, s=sigma: (s, None))
+            report = verify_directory_lemmas(g, base)
+            assert (report.instances, report.failures) == brute_directory_lemmas(
+                g, base, sigma
+            )
+            clauses.update(f["clause"] for f in report.failures)
+        assert clauses == {
+            "exact-neighbourhood-equals-common",
+            "disjoint-exact-neighbourhoods-no-edges",
+            "cone-address-intersects",
+            "cone-address-dominates",
+        }
+
+    def test_true_star_number_never_fails(self, oracle_cases):
+        for g, base, sigma in oracle_cases:
+            if sigma == star_number(g)[0]:
+                assert verify_directory_lemmas(g, base).passed
+
+    def test_richness_matches_oracle(self, oracle_cases, monkeypatch):
+        shortfalls = 0
+        for g, base, sigma in oracle_cases:
+            monkeypatch.setattr(verify, "star_number", lambda g, s=sigma: (s, None))
+            report = verify_neighbor_richness(g, base, 2)
+            assert (report.instances, report.failures) == brute_neighbor_richness(
+                g, base, sigma, 2
+            )
+            shortfalls += len(report.failures)
+        assert shortfalls
+
+
+class TestEmptyRuns:
+    def test_random_lemmas_need_a_graph(self):
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="count"):
+                verify_directory_lemmas_random(count=count)
+
+    def test_random_lemmas_need_an_order_range_with_edges(self):
+        with pytest.raises(ValueError, match="max_order"):
+            verify_directory_lemmas_random(count=1, max_order=3)
+        with pytest.raises(ValueError, match="max_order"):
+            verify_directory_lemmas_random(count=1, min_order=1, max_order=1)
+
+    def test_cross_validation_needs_an_order(self):
+        for n_max in (0, -2):
+            with pytest.raises(ValueError, match="n_max"):
+                cross_validate_hh(n_max)
+
+    def test_alpha_bound_needs_an_instance(self):
+        with pytest.raises(ValueError, match="n_values"):
+            verify_alpha_bound_family(range(5, 5))
+        with pytest.raises(ValueError, match="part_sizes"):
+            verify_alpha_bound_family([3], part_sizes=())
 
 
 class TestRichness:
