@@ -14,20 +14,9 @@ import json
 import sys
 
 from . import __version__
-from .errors import (
-    BadParams,
-    BudgetExhausted,
-    FormatError,
-    HomoglabError,
-    InternalInvariant,
-    NotADirectoryBase,
-    OrderTooLarge,
-    SeedNotLocalMorphism,
-    StarNumberZero,
-    Undominated,
-)
+from .errors import BadParams, BudgetExhausted, HomoglabError, InternalInvariant
 from .formats import read_graph, write_graph
-from .graphs import analyze, cone_set, independence_number
+from .graphs import analyze, independence_number
 from .homogeneity import AgePartition, decide_hh_conditions, decide_xy, kk_okk
 from .presentations import (
     classify_mb,
@@ -315,26 +304,13 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args, argv)
-    except (
-        BadParams,
-        FormatError,
-        NotADirectoryBase,
-        OrderTooLarge,
-        SeedNotLocalMorphism,
-        StarNumberZero,
-        Undominated,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalInvariant as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except HomoglabError as exc:
+    except (HomoglabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -250,6 +250,10 @@ def verify_directory_lemmas_random(
         raise ValueError(f"count must be at least 1, got {count}")
     if max_order < max(min_order, 2):
         raise ValueError(f"max_order {max_order} is below min_order {min_order} or below 2")
+    if not any(p > 0 for p in edge_probs) or not all(0 <= p <= 1 for p in edge_probs):
+        raise ValueError(
+            f"edge_probs must lie in [0, 1] with one above 0, got {edge_probs!r}"
+        )
     start = time.perf_counter()
     rng = random.Random(seed)
     failures: list[dict] = []

@@ -4,8 +4,20 @@ import json
 
 import pytest
 
-from homoglab import formats, morphisms
+from homoglab import cli, formats, morphisms
 from homoglab.cli import run
+from homoglab.errors import (
+    BadParams,
+    BudgetExhausted,
+    FormatError,
+    HomoglabError,
+    InternalInvariant,
+    NotADirectoryBase,
+    OrderTooLarge,
+    SeedNotLocalMorphism,
+    StarNumberZero,
+    Undominated,
+)
 from homoglab.formats import read_graph, write_graph
 from homoglab.graphs import complete_graph, path_graph
 from homoglab.morphisms import canonical_code
@@ -15,6 +27,35 @@ def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (BadParams("bad"), 2),
+        (FormatError("bad"), 2),
+        (NotADirectoryBase("bad"), 2),
+        (OrderTooLarge("bad"), 2),
+        (SeedNotLocalMorphism("bad"), 2),
+        (StarNumberZero("bad"), 2),
+        (Undominated("bad"), 2),
+        (HomoglabError("bad"), 2),
+        (ValueError("bad"), 2),
+        (OSError("bad"), 2),
+        (BudgetExhausted(((0,), ()), "refuted"), 3),
+        (InternalInvariant("bad"), 4),
+    ],
+)
+def test_error_exit_codes(capsys, monkeypatch, error, code):
+    def command(args, argv):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", command)
+    assert run(["analyze", "unused.g6"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "internal error" if code == 4 else "error"
+    assert captured.err == f"{prefix}: {error}\n"
 
 
 class TestAnalyze:

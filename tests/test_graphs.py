@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homoglab import graphs as graph_module
 from homoglab.errors import NotADirectoryBase, StarNumberZero
 from homoglab.graphs import (
     Graph,
@@ -250,14 +251,25 @@ class TestDirectories:
         expected = [list(s) for s in brute_independent_dominating_of_size(g, alpha)]
         assert directories(g) == expected
 
-    def test_tie_heavy_fixtures(self):
+    def test_tie_heavy_fixtures(self, monkeypatch):
         pairs = [(2 * i, 2 * i + 1) for i in range(10)]
         ten_k2 = Graph(20, pairs)
         transversals = [list(t) for t in product(*pairs)]
         dirs = directories(ten_k2)
         assert len(dirs) == 1024
         assert dirs == transversals
+        # The witness search stops at the first completion of each probe:
+        # here it colours 55 candidate sets, where listing every completion
+        # of each probe would colour about a thousand.
+        color_order = graph_module._color_order
+        calls = []
+        monkeypatch.setattr(
+            graph_module,
+            "_color_order",
+            lambda *args: calls.append(args) or color_order(*args),
+        )
         assert dirs[0] == independence_number(ten_k2)[1]
+        assert len(calls) < 100
         for g in (cycle_graph(6), lex_product(cycle_graph(9), empty_graph(2))):
             alpha, witness = independence_number(g)
             expected = [list(s) for s in brute_independent_dominating_of_size(g, alpha)]
@@ -283,7 +295,19 @@ class TestDirectories:
                 )
                 dirs = directories(g)
                 assert dirs == expected
-                assert dirs[0] == independence_number(g)[1]
+                assert independence_number(g) == (alpha, dirs[0])
+                # sigma is the clique number of the complement over N(v),
+                # maximised over v; the witness is the least v attaining it.
+                local = [
+                    nx.max_weight_clique(co.subgraph(g.neighbors(v)), weight=None)[1]
+                    for v in range(g.n)
+                ]
+                sigma = max(local)
+                v = local.index(sigma)
+                nbrs = g.neighbors(v)
+                h, _ = induced_subgraph(g, nbrs)
+                witness = [nbrs[i] for i in directories(h)[0]] if h.edge_count() else nbrs
+                assert star_number(g) == (sigma, (v, witness))
 
     def test_is_directory_modes(self, rs3_m2):
         assert is_directory(rs3_m2, [0, 1, 2])
@@ -291,6 +315,10 @@ class TestDirectories:
         # relaxed mode: independent dominating of size >= 2*sigma - 1 = 3
         assert is_directory(rs3_m2, [0, 1, 2], relaxed=True)
         assert not is_directory(empty_graph(2), [0, 1])
+        assert not is_independent_dominating(path_graph(4), [0])
+        assert not is_independent_dominating(path_graph(3), [0, 1])
+        with pytest.raises(ValueError):
+            is_independent_dominating(path_graph(3), [3])
 
 
 class TestAddress:

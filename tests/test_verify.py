@@ -150,6 +150,14 @@ class TestEmptyRuns:
         with pytest.raises(ValueError, match="max_order"):
             verify_directory_lemmas_random(count=1, min_order=1, max_order=1)
 
+    def test_random_lemmas_need_an_edge_probability_above_zero(self):
+        nan = float("nan")
+        for edge_probs in ((), (0.0,), (0.0, 0.0), (0.5, 1.5), (-0.1, 0.5), (nan,)):
+            with pytest.raises(ValueError, match="edge_probs"):
+                verify_directory_lemmas_random(count=1, max_order=6, edge_probs=edge_probs)
+        report = verify_directory_lemmas_random(count=2, max_order=6, edge_probs=(0.0, 1.0))
+        assert report.instances == 2
+
     def test_cross_validation_needs_an_order(self):
         for n_max in (0, -2):
             with pytest.raises(ValueError, match="n_max"):
