@@ -69,6 +69,68 @@ def _list_of(mask: int) -> list[int]:
     return list(_iter_bits(mask))
 
 
+# From this order on, the packed transpose of _masks_valid_packed beats the
+# per-vertex loop of _check_masks at every density: at n = 32 the two tie on
+# a 5 % dense graph, at n = 4 the loop takes 2.7 us against 7.9 us, and on
+# K1024 it takes 370 ms against 3 ms (2 vCPU, CPython 3.11.7).  All census
+# and decider graphs (order 10 or less) stay on the loop.
+_PACKED_CHECK_MIN = 33
+
+
+def _check_masks(masks: tuple[int, ...]) -> None:
+    """Raise ValueError on the first fault, in vertex order."""
+    n = len(masks)
+    full = (1 << n) - 1
+    for v, row in enumerate(masks):
+        if row & ~full:
+            raise ValueError(f"mask of vertex {v} references vertices >= {n}")
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+        for u in _iter_bits(row):
+            if not masks[u] >> v & 1:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+
+def _tile(pattern: int, period: int, count: int) -> int:
+    """pattern (narrower than period) repeated count times, period bits
+    apart, from bit 0; built by doubling, so linear in the result."""
+    out, have = pattern, 1
+    while have < count:
+        out |= out << (period * have)
+        have *= 2
+    return out & ((1 << (period * count)) - 1)
+
+
+def _transpose_packed(m: int, size: int) -> int:
+    """Transpose a size x size bit matrix stored row by row (bit r*size + c),
+    size a power of two, by one delta swap per halving of the block size."""
+    half = size >> 1
+    while half:
+        # Cell (r, c) with bit `half` clear in r and set in c trades places
+        # with cell (r + half, c - half), delta bits higher.
+        delta = half * (size - 1)
+        groups = size // (2 * half)
+        row = _tile(((1 << half) - 1) << half, 2 * half, groups)
+        mask = _tile(_tile(row, size, half), 2 * half * size, groups)
+        t = (m ^ (m >> delta)) & mask
+        m ^= t | (t << delta)
+        half >>= 1
+    return m
+
+
+def _masks_valid_packed(masks: tuple[int, ...]) -> bool:
+    """The verdict of _check_masks, from one packed n x n integer."""
+    n = len(masks)
+    if any(row < 0 or row >> n for row in masks):
+        return False
+    size = 1 << max(3, (n - 1).bit_length())
+    width = size // 8
+    m = int.from_bytes(b"".join(row.to_bytes(width, "little") for row in masks), "little")
+    if m & _tile(1, size + 1, n):
+        return False
+    return _transpose_packed(m, size) == m
+
+
 class Graph:
     """An immutable simple graph: symmetric irreflexive adjacency on 0..n-1."""
 
@@ -90,21 +152,20 @@ class Graph:
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "Graph":
-        """Build a graph from per-vertex neighbourhood bitmasks."""
+        """Build a graph from per-vertex neighbourhood bitmasks.
+
+        Small orders are validated vertex by vertex.  From order
+        _PACKED_CHECK_MIN on, the masks are accepted by one packed
+        transpose instead, and only rejected masks are walked again, so
+        the error names the same first fault either way.
+        """
         masks = tuple(masks)
         n = len(masks)
+        if n < _PACKED_CHECK_MIN or not _masks_valid_packed(masks):
+            _check_masks(masks)
         g = object.__new__(cls)
         g.n = n
         g._adj = masks
-        full = (1 << n) - 1
-        for v, row in enumerate(masks):
-            if row & ~full:
-                raise ValueError(f"mask of vertex {v} references vertices >= {n}")
-            if row >> v & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-            for u in _iter_bits(row):
-                if not masks[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
         return g
 
     @property
@@ -397,6 +458,13 @@ def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
     if g.n == 0:
         return 0, None
     co = _co_masks(g)
+    best, best_v = _star_vertex(g, co)
+    witness = _lex_least_clique(co, g.masks[best_v], best)
+    return best, (best_v, witness)
+
+
+def _star_vertex(g: Graph, co: tuple[int, ...]) -> tuple[int, int]:
+    """sigma(g) and the least vertex attaining it (0 for edgeless graphs)."""
     best = 0
     best_v = 0
     for v in range(g.n):
@@ -406,8 +474,7 @@ def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
         size = _max_clique_size(co, nbhd, best)
         if size > best:
             best, best_v = size, v
-    witness = _lex_least_clique(co, g.masks[best_v], best)
-    return best, (best_v, witness)
+    return best, best_v
 
 
 def directories(g: Graph) -> list[list[int]]:
@@ -461,11 +528,11 @@ def is_directory(g: Graph, i: Iterable[int], relaxed: bool = False) -> bool:
         return False
     if not is_independent_dominating(g, iset):
         return False
+    co = _co_masks(g)
     if relaxed:
-        sigma, _ = star_number(g)
+        sigma, _ = _star_vertex(g, co)
         return len(iset) >= 2 * sigma - 1
-    alpha, _ = independence_number(g)
-    return len(iset) == alpha
+    return len(iset) == _max_clique_size(co, (1 << g.n) - 1)
 
 
 def _require_base(g: Graph, i: Iterable[int]) -> int:

@@ -178,6 +178,14 @@ class TestGenerate:
     def test_bad_family(self, capsys):
         assert run(["generate", "who:1", "--truncate", "4", "-o", "/tmp/x"]) == 2
 
+    def test_truncation_over_cap_rejected(self, tmp_path, capsys):
+        target = tmp_path / "x.g6"
+        argv = ["generate", "rado_bit", "--truncate", "100000000", "-o", str(target)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the cap" in captured.err
+        assert not target.exists()
+
 
 class TestWitness:
     def test_found(self, capsys):
@@ -198,6 +206,15 @@ class TestWitness:
         )
         assert code == 0
         assert report["payload"]["result"]["status"] == "proven_absent"
+
+    def test_far_cone_exhausts_at_the_budget(self, capsys):
+        # Only vertex 40 is adjacent to 2^40 below it, and it is excluded.
+        code, report = run_json(
+            capsys,
+            ["witness", "rado_bit", "--cone", str(1 << 40), "--cocone", "40", "--budget", "10"],
+        )
+        assert code == 3
+        assert report["payload"]["result"]["status"] == "exhausted"
 
     def test_exhausted_exits_three(self, capsys):
         code, report = run_json(
@@ -234,6 +251,11 @@ class TestClassify:
         code, report = run_json(capsys, ["classify", "rado_bit", "--budget", "512"])
         assert code == 0
         assert report["payload"]["classification"]["verdict"] == "rado"
+
+    def test_budget_over_cap_rejected(self, capsys):
+        assert run(["classify", "rado_bit", "--budget", "100000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the cap" in captured.err
 
 
 class TestVerify:

@@ -70,6 +70,58 @@ class TestConstruction:
             Graph.from_masks([0b010, 0b000, 0b000])  # asymmetric
 
 
+def _loop_verdict(masks):
+    try:
+        graph_module._check_masks(masks)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _one_fault(rng, masks):
+    """The masks with one flipped bit, one self-loop or one bit past the order."""
+    masks = list(masks)
+    n = len(masks)
+    v = rng.randrange(n)
+    kind = rng.randrange(3)
+    if kind == 0 and n > 1:
+        masks[v] ^= 1 << rng.choice([u for u in range(n) if u != v])
+    elif kind == 1:
+        masks[v] |= 1 << v
+    else:
+        masks[v] |= 1 << (n + rng.randrange(3))
+    return tuple(masks)
+
+
+class TestPackedMaskCheck:
+    """The packed transpose accepts exactly what the per-vertex loop
+    accepts, and from_masks raises the loop's message either way."""
+
+    @pytest.mark.parametrize("n", list(range(0, 101)) + [1024])
+    def test_agrees_with_loop(self, n):
+        rng = random.Random(f"packed/{n}")
+        for _ in range(3 if n < 1024 else 1):
+            g = random_graph(rng, n, rng.random())
+            cases = [g.masks] + ([_one_fault(rng, g.masks)] if n else [])
+            for masks in cases:
+                message = _loop_verdict(masks)
+                assert graph_module._masks_valid_packed(masks) == (message is None)
+                if message is None:
+                    assert Graph.from_masks(masks) == g
+                else:
+                    with pytest.raises(ValueError) as exc:
+                        Graph.from_masks(masks)
+                    assert str(exc.value) == message
+
+    def test_first_fault_wins_above_the_crossover(self):
+        n = graph_module._PACKED_CHECK_MIN + 7
+        masks = list(complete_graph(n).masks)
+        masks[n - 1] |= 1 << (n - 1)
+        masks[3] ^= 1 << 5
+        with pytest.raises(ValueError, match="asymmetric adjacency between 3 and 5"):
+            Graph.from_masks(masks)
+
+
 class TestComplement:
     def test_clique_to_edgeless(self):
         assert complement(complete_graph(3)) == empty_graph(3)
@@ -308,6 +360,16 @@ class TestDirectories:
                 h, _ = induced_subgraph(g, nbrs)
                 witness = [nbrs[i] for i in directories(h)[0]] if h.edge_count() else nbrs
                 assert star_number(g) == (sigma, (v, witness))
+
+    def test_is_directory_builds_no_witness(self, rs3_m2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("is_directory only needs alpha or sigma")
+
+        monkeypatch.setattr(graph_module, "_lex_least_clique", refuse)
+        assert is_directory(rs3_m2, [0, 1, 2])
+        assert not is_directory(rs3_m2, [0, 3])
+        assert is_directory(rs3_m2, [0, 1, 2], relaxed=True)
+        assert not is_directory(path_graph(5), [1, 3], relaxed=True)
 
     def test_is_directory_modes(self, rs3_m2):
         assert is_directory(rs3_m2, [0, 1, 2])

@@ -1,9 +1,13 @@
 """Presentation families, truncation, witness search, the spanning
 construction, and the bimorphism-class probe."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homoglab import presentations
 from homoglab.errors import BadParams, BudgetExhausted
 from homoglab.graphs import (
     Graph,
@@ -17,6 +21,7 @@ from homoglab.graphs import (
 )
 from homoglab.morphisms import canonical_code
 from homoglab.presentations import (
+    Presentation,
     check_property_bounded,
     classify_mb,
     extension_witness,
@@ -296,3 +301,113 @@ class TestClassification:
     def test_budget_floor(self):
         with pytest.raises(ValueError):
             classify_mb(parse_spec("rado_bit"), 8)
+
+
+def _oracle_only(p: Presentation) -> Presentation:
+    """The same presentation without its closed-form hooks."""
+    return Presentation(p.name, p.adjacent, p.params, p.metadata, p.refute)
+
+
+def _sided_pairs(window: int, max_support: int):
+    """Every (A, B) with A and B disjoint and |A u B| <= max_support."""
+    for size in range(max_support + 1):
+        for support in combinations(range(window), size):
+            for bits in range(1 << size):
+                yield (
+                    tuple(v for i, v in enumerate(support) if bits >> i & 1),
+                    tuple(v for i, v in enumerate(support) if not bits >> i & 1),
+                )
+
+
+class TestClosedFormHooks:
+    """Hooks answer exactly as the oracle scan of the same presentation."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["rado_bit", "rs:3", "rs:5", "k_omega", "null", "i_omega_k_omega",
+         "union_cliques_complement", "two_way_path", "complement_of:rado_bit",
+         "lex:rado_bit,k_omega", "complement_of:lex(rs(4),complement_of(two_way_path))",
+         "lex:lex(null,rado_bit),union_cliques_complement"],
+    )
+    def test_truncations_match_the_oracle(self, spec):
+        p = parse_spec(spec)
+        assert p._rows is not None
+        oracle = _oracle_only(p)
+        for n in (0, 1, 2, 3, 7, 30, 129, 1024):
+            assert truncate(p, n) == truncate(oracle, n)
+
+    @pytest.mark.parametrize("spec", ["rado_bit", "complement_of:rado_bit"])
+    def test_witnesses_match_the_oracle(self, spec):
+        p = parse_spec(spec)
+        assert p._least_witness is not None
+        oracle = _oracle_only(p)
+        for a, b in _sided_pairs(12, 4):
+            for budget in (1 << 16, 20, 5):
+                assert extension_witness(p, a, b, budget) == extension_witness(
+                    oracle, a, b, budget
+                ), (a, b, budget)
+
+    @pytest.mark.parametrize("spec", ["rado_bit", "complement_of:rado_bit"])
+    def test_far_vertices_and_small_budgets_match_the_oracle(self, spec):
+        # Far vertices have witnesses far past the budget (or none below
+        # it), so the hook must stop at the budget just as the scan does.
+        p = parse_spec(spec)
+        oracle = _oracle_only(p)
+        rng = random.Random(f"far/{spec}")
+        cases = [((1 << 40,), (40,)), ((40,), (1 << 40,)), ((), (3,)), ((3, 2**61 - 1), (5,))]
+        for _ in range(400):
+            support = {rng.randrange(40)}
+            for _ in range(rng.randrange(4)):
+                support.add(rng.choice([rng.randrange(3000), 1 << rng.randrange(5, 60),
+                                        rng.randrange(10**15)]))
+            support = list(support)
+            rng.shuffle(support)
+            cut = rng.randrange(len(support) + 1)
+            cases.append((tuple(support[:cut]), tuple(support[cut:])))
+        for a, b in cases:
+            for budget in (0, 1, 3, 10, 200, 3000):
+                assert extension_witness(p, a, b, budget) == extension_witness(
+                    oracle, a, b, budget
+                ), (a, b, budget)
+
+    def test_families_without_a_total_witness_keep_the_scan(self):
+        for spec in ("rs:3", "two_way_path", "lex:rado_bit,k_omega"):
+            assert parse_spec(spec)._least_witness is None
+
+    def test_compositions_drop_missing_hooks(self):
+        bare = _oracle_only(parse_spec("rado_bit"))
+        assert make_presentation("complement_of", bare)._rows is None
+        assert make_presentation("complement_of", bare)._least_witness is None
+        assert make_presentation("lex", bare, parse_spec("null"))._rows is None
+
+    @pytest.mark.parametrize(
+        "spec", ["rado_bit", "rs:3", "two_way_path", "lex:rado_bit,k_omega",
+                 "complement_of:rado_bit"]
+    )
+    @pytest.mark.parametrize("budget", [32, 100, 512])
+    def test_classify_rungs_are_truncations(self, spec, budget):
+        p = parse_spec(spec)
+        ladder = presentations._ladder(p, budget)
+        assert list(ladder) == sorted({max(8, budget // 8), budget // 4, budget // 2, budget})
+        for s, g in ladder.items():
+            assert g == truncate(p, s)
+
+
+class TestTruncationCap:
+    def test_cap_rejects_before_building(self):
+        def refuse(n):
+            raise AssertionError("rows built above the cap")
+
+        cap = presentations._MAX_TRUNCATION
+        p = Presentation("k_omega", lambda i, j: True, rows=refuse)
+        with pytest.raises(BadParams, match="cap"):
+            truncate(p, cap + 1)
+        with pytest.raises(BadParams, match="cap"):
+            classify_mb(p, cap + 1)
+
+    def test_cap_is_reachable(self, monkeypatch):
+        monkeypatch.setattr(presentations, "_MAX_TRUNCATION", 40)
+        p = parse_spec("rado_bit")
+        assert truncate(p, 40).n == 40
+        with pytest.raises(BadParams):
+            truncate(p, 41)
