@@ -27,6 +27,15 @@ endomorphism is an automorphism, so every target kind other than H means
 (M, H) and (I, H) search for an extension of every local morphism.  A
 one-point extension of a local monomorphism can leave the class of local
 monomorphisms, so no one-point argument is known to be sound there.
+
+The enumerating routes, (H, H), (M, H), (I, H) and the (I, Y) one-point
+check, list local maps with one enumerator, _local_maps.  Domains come by
+size and then lexicographically, images lexicographically, so each route
+reports its least failing map in that order.  One candidate rule, _targets,
+gives the images a vertex may take: neighbours of the images of its
+neighbours, for M and I no used target, and for I no neighbour of the
+images of its non-neighbours.  The (I, Y) check asks the same rule for a
+vertex outside the domain.
 """
 
 from __future__ import annotations
@@ -140,6 +149,8 @@ _CODE_LIMIT = 10
 
 def _scan_classes(g: Graph, k: int) -> list[dict]:
     """Group all induced subgraphs of size <= k by isomorphism type."""
+    if k < 0:
+        raise ValueError(f"age size k must be at least 0, got {k}")
     if k > g.n:
         raise OrderTooLarge(f"age size {k} exceeds order {g.n}")
     if k > _CODE_LIMIT:
@@ -180,6 +191,8 @@ def _scan_classes(g: Graph, k: int) -> list[dict]:
 
 def age(g: Graph, k: int, embedding_cap: int | None = None) -> list[AgeClass]:
     """One AgeClass per isomorphism type of induced subgraph of size <= k."""
+    if embedding_cap is not None and embedding_cap < 0:
+        raise ValueError(f"embedding_cap must be at least 0, got {embedding_cap}")
     result = []
     for cls in _scan_classes(g, k):
         embeddings = cls["embeddings"]
@@ -235,24 +248,12 @@ def kk_okk(g: Graph, k: int) -> AgePartition:
     )
 
 
-_PRECEQ_CACHE: dict[tuple[bytes, bytes], bool] = {}
 _SURJECTIVE = MorphismConstraints(surjective=True)
 
 
 def preceq(a: Graph, b: Graph) -> bool:
     """True when a surjective homomorphism a -> b exists."""
-    if a.n < b.n:
-        return False
-    key = None
-    if a.n <= 10 and b.n <= 10:
-        key = (canonical_code(a), canonical_code(b))
-        hit = _PRECEQ_CACHE.get(key)
-        if hit is not None:
-            return hit
-    result = search_morphism(a, b, None, _SURJECTIVE) is not None
-    if key is not None:
-        _PRECEQ_CACHE[key] = result
-    return result
+    return search_morphism(a, b, None, _SURJECTIVE) is not None
 
 
 # --- direct decider ---------------------------------------------------------
@@ -263,39 +264,70 @@ _FINITE_COLLAPSE_NOTE = (
 )
 
 
-def _local_morphisms(g: Graph, x: str):
-    """Yield (domain, images) for every local x-morphism of g, x in {M, I}.
+def _domains(n: int):
+    """Every vertex subset of range(n) as a sorted tuple, by size and then
+    lexicographically."""
+    for size in range(n + 1):
+        yield from combinations(range(n), size)
 
-    Domains ascend by size then lexicographically; images ascend
-    lexicographically within a domain.
-    """
-    n = g.n
+
+def _targets(g: Graph, x: str, vs, images, i: int, used: int) -> int:
+    """Mask of targets t for vs[i] that keep vs[:i+1] -> images[:i] + [t] a
+    local x-morphism, given one for vs[:i] -> images[:i] with image mask
+    used: edges go to neighbours of the image, M and I exclude used
+    targets, and I also keeps non-edges."""
     adj = g.masks
-    full = (1 << n) - 1
-    respect_non = x == "I"
-    for size in range(0, n + 1):
-        for domain in combinations(range(n), size):
-            images: list[int] = []
+    row = adj[vs[i]]
+    allowed = (1 << g.n) - 1
+    if x != "H":
+        allowed &= ~used
+    for j in range(i):
+        if row >> vs[j] & 1:
+            allowed &= adj[images[j]]
+        elif x == "I":
+            allowed &= ~adj[images[j]]
+    return allowed
 
-            def rec(i: int, used: int):
-                if i == len(domain):
-                    yield tuple(images)
-                    return
-                v = domain[i]
-                allowed = full & ~used
-                for j in range(i):
-                    u = domain[j]
-                    if adj[v] >> u & 1:
-                        allowed &= adj[images[j]]
-                    elif respect_non:
-                        allowed &= ~adj[images[j]]
-                for t in _iter_bits(allowed):
-                    images.append(t)
-                    yield from rec(i + 1, used | 1 << t)
-                    images.pop()
 
-            for imgs in rec(0, 0):
-                yield domain, imgs
+def _local_maps(g: Graph, domain: tuple[int, ...], x: str):
+    """Yield (images, image_mask) for every local x-morphism of g on domain,
+    x in {H, M, I}, with images in ascending lexicographic order.
+
+    An explicit stack walks every position but the last; the last one is a
+    plain loop over its targets, where almost all maps are produced.  A
+    recursive generator would resume once per level for every map.
+    """
+    size = len(domain)
+    if not size:
+        yield (), 0
+        return
+    last = size - 1
+    images = [0] * size
+    pending = [0] * size
+    used = [0] * size
+    pending[0] = _targets(g, x, domain, images, 0, 0)
+    i = 0
+    while i >= 0:
+        if i == last:
+            base = used[last]
+            cand = pending[last]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                images[last] = low.bit_length() - 1
+                yield tuple(images), base | low
+            i -= 1
+            continue
+        cand = pending[i]
+        if not cand:
+            i -= 1
+            continue
+        low = cand & -cand
+        pending[i] = cand ^ low
+        images[i] = low.bit_length() - 1
+        i += 1
+        used[i] = used[i - 1] | low
+        pending[i] = _targets(g, x, domain, images, i, used[i])
 
 
 def _counterexample(domain, images, vertex, reason) -> dict:
@@ -309,49 +341,18 @@ def _counterexample(domain, images, vertex, reason) -> dict:
 def _decide_hh_direct(g: Graph) -> HomogReport:
     """One-point route for (H, H): over every coned domain and every
     homomorphism from it, the image must again have a cone."""
-    n = g.n
-    adj = g.masks
-    full = (1 << n) - 1
-    cone_of: dict[int, int] = {}
+    # cones[mask]: the common neighbours of the vertex set mask.
+    cones = [(1 << g.n) - 1] * (1 << g.n)
+    for mask in range(1, len(cones)):
+        low = mask & -mask
+        cones[mask] = cones[mask ^ low] & g.masks[low.bit_length() - 1]
 
-    def cones(mask: int) -> int:
-        hit = cone_of.get(mask)
-        if hit is None:
-            hit = full
-            for v in _iter_bits(mask):
-                hit &= adj[v]
-            cone_of[mask] = hit
-        return hit
-
-    images = [0] * n
-
-    for size in range(0, n + 1):
-        for domain in combinations(range(n), size):
-            dmask = sum(1 << v for v in domain)
-            dcones = cones(dmask)
-            if not dcones:
-                continue
-
-            def rec(i: int, image_mask: int) -> tuple[int, ...] | None:
-                # Returns the first homomorphism whose image has no cone.
-                if i == size:
-                    if not cones(image_mask):
-                        return tuple(images[:size])
-                    return None
-                v = domain[i]
-                allowed = full
-                for j in range(i):
-                    if adj[v] >> domain[j] & 1:
-                        allowed &= adj[images[j]]
-                for t in _iter_bits(allowed):
-                    images[i] = t
-                    bad = rec(i + 1, image_mask | 1 << t)
-                    if bad is not None:
-                        return bad
-                return None
-
-            failing = rec(0, 0)
-            if failing is not None:
+    for domain in _domains(g.n):
+        dcones = cones[sum(1 << v for v in domain)]
+        if not dcones:
+            continue
+        for images, image_mask in _local_maps(g, domain, "H"):
+            if not cones[image_mask]:
                 return HomogReport(
                     verdict=False,
                     x_kind="H",
@@ -359,7 +360,7 @@ def _decide_hh_direct(g: Graph) -> HomogReport:
                     method="direct",
                     counterexample=_counterexample(
                         domain,
-                        failing,
+                        images,
                         next(_iter_bits(dcones)),
                         "image of the domain has no cone",
                     ),
@@ -369,9 +370,10 @@ def _decide_hh_direct(g: Graph) -> HomogReport:
 
 def _h_search_failure(g: Graph, x: str) -> dict | None:
     """First local x-morphism, x in {M, I}, that no endomorphism extends."""
-    for domain, images in _local_morphisms(g, x):
-        if extends_in(g, PartialMap(tuple(zip(domain, images))), "H") is None:
-            return _counterexample(domain, images, None, "no extension")
+    for domain in _domains(g.n):
+        for images, _ in _local_maps(g, domain, x):
+            if extends_in(g, PartialMap(tuple(zip(domain, images))), "H") is None:
+                return _counterexample(domain, images, None, "no extension")
     return None
 
 
@@ -404,18 +406,14 @@ def _m_to_automorphism_failure(g: Graph) -> dict | None:
 def _i_to_automorphism_failure(g: Graph) -> dict | None:
     """First local isomorphism with a vertex it cannot take on as a local
     isomorphism."""
-    adj = g.masks
     full = (1 << g.n) - 1
-    for domain, images in _local_morphisms(g, "I"):
-        dmask = sum(1 << v for v in domain)
-        image_mask = sum(1 << t for t in images)
-        for a in _iter_bits(full & ~dmask):
-            allowed = full & ~image_mask
-            for v, t in zip(domain, images):
-                allowed &= adj[t] if adj[a] >> v & 1 else ~adj[t]
-            if not allowed:
-                reason = "no image for the new vertex keeps a local isomorphism"
-                return _counterexample(domain, images, a, reason)
+    for domain in _domains(g.n):
+        outside = full & ~sum(1 << v for v in domain)
+        for images, image_mask in _local_maps(g, domain, "I"):
+            for a in _iter_bits(outside):
+                if not _targets(g, "I", domain + (a,), images, len(domain), image_mask):
+                    reason = "no image for the new vertex keeps a local isomorphism"
+                    return _counterexample(domain, images, a, reason)
     return None
 
 
@@ -459,7 +457,7 @@ def decide_xy(g: Graph, x: str, y: str, max_order: int = 10) -> HomogReport:
     )
 
 
-def decide_hh_conditions(g: Graph, k: int | None = None, max_order: int = 10) -> HomogReport:
+def decide_hh_conditions(g: Graph, k: int | None = None) -> HomogReport:
     """HH verdict through the age partition.
 
     Condition 1: no age class has both a coned and a cone-free embedding.
@@ -467,11 +465,7 @@ def decide_hh_conditions(g: Graph, k: int | None = None, max_order: int = 10) ->
     homomorphism order, tested as: no coned class maps onto a cone-free one.
     A complete verdict needs k = order(g).
     """
-    if k is None:
-        k = g.n
-    if k > max_order:
-        raise OrderTooLarge(f"conditions decider capped at order {max_order}, got {k}")
-    part = kk_okk(g, k)
+    part = kk_okk(g, g.n if k is None else k)
     if part.conflicts:
         c = part.conflicts[0]
         return HomogReport(
@@ -491,10 +485,10 @@ def decide_hh_conditions(g: Graph, k: int | None = None, max_order: int = 10) ->
     okk_classes = [cls for cls in part.classes if cls.code in part.okk]
     for upper in kk_classes:
         for lower in okk_classes:
-            if preceq(upper.representative, lower.representative):
-                surj = search_morphism(
-                    upper.representative, lower.representative, None, _SURJECTIVE
-                )
+            surj = search_morphism(
+                upper.representative, lower.representative, None, _SURJECTIVE
+            )
+            if surj is not None:
                 return HomogReport(
                     verdict=False,
                     x_kind="H",

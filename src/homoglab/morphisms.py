@@ -144,66 +144,52 @@ def search_morphism(
     full_b = (1 << m) - 1
     f = [-1] * n
     assigned_mask = 0
-    used = [0] * m
-    covered = 0
 
-    def compatible(v: int, t: int) -> bool:
-        if c.injective and used[t]:
-            return False
+    def candidates(v: int, image: int) -> int:
+        # Targets for v given the assigned vertices, whose image mask is
+        # image: neighbours of the images of its neighbours, no used target
+        # if injective, and no image of a non-neighbour or its neighbour if
+        # non-edges are respected.
+        allowed = full_b & ~image if c.injective else full_b
         for u in _iter_bits(amask[v] & assigned_mask):
-            if not bmask[f[u]] >> t & 1:
-                return False
+            allowed &= bmask[f[u]]
         if c.respect_nonedges:
-            nonadj = assigned_mask & ~amask[v] & ~(1 << v)
-            for u in _iter_bits(nonadj):
-                if f[u] == t or bmask[f[u]] >> t & 1:
-                    return False
-        return True
+            for u in _iter_bits(assigned_mask & ~amask[v]):
+                allowed &= ~(bmask[f[u]] | 1 << f[u])
+        return allowed
 
     seed = seed or EMPTY_MAP
     for u, t in seed.pairs:
         if not 0 <= u < n or not 0 <= t < m:
             raise ValueError(f"seed pair ({u},{t}) out of range")
+    seed_image = 0
     for u, t in seed.pairs:
-        if not compatible(u, t):
+        if not candidates(u, seed_image) >> t & 1:
             return None
         f[u] = t
         assigned_mask |= 1 << u
-        if not used[t]:
-            covered += 1
-        used[t] += 1
+        seed_image |= 1 << t
 
     order = [v for v in range(n) if f[v] < 0]
     total = len(order)
 
-    def dfs(idx: int) -> bool:
-        nonlocal assigned_mask, covered
+    def dfs(idx: int, image: int) -> bool:
+        nonlocal assigned_mask
         if idx == total:
-            return not c.surjective or covered == m
-        if c.surjective and total - idx < m - covered:
+            return not c.surjective or image == full_b
+        if c.surjective and total - idx < m - image.bit_count():
             return False
         v = order[idx]
-        allowed = full_b
-        for u in _iter_bits(amask[v] & assigned_mask):
-            allowed &= bmask[f[u]]
-        for t in _iter_bits(allowed):
-            if not compatible(v, t):
-                continue
+        bit = 1 << v
+        for t in _iter_bits(candidates(v, image)):
             f[v] = t
-            assigned_mask |= 1 << v
-            if not used[t]:
-                covered += 1
-            used[t] += 1
-            if dfs(idx + 1):
+            assigned_mask |= bit
+            if dfs(idx + 1, image | 1 << t):
                 return True
-            used[t] -= 1
-            if not used[t]:
-                covered -= 1
-            assigned_mask ^= 1 << v
-            f[v] = -1
+            assigned_mask ^= bit
         return False
 
-    if dfs(0):
+    if dfs(0, seed_image):
         if not validate_total_map(a, b, f, c):
             raise InternalInvariant("search produced an invalid witness")
         return f

@@ -1,6 +1,7 @@
 """Ages, kk/okk partitions, the surjective-homomorphism order, and the two
 HH deciders with their agreement on small graphs."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -23,7 +24,14 @@ from homoglab.homogeneity import (
     kk_okk,
     preceq,
 )
-from homoglab.morphisms import PartialMap, canonical_code, enumerate_graphs, extends_in
+from homoglab.morphisms import (
+    MorphismConstraints,
+    PartialMap,
+    canonical_code,
+    enumerate_graphs,
+    extends_in,
+    validate_total_map,
+)
 
 from conftest import (
     brute_extendable,
@@ -79,6 +87,24 @@ class TestAge:
     def test_size_cap(self):
         with pytest.raises(OrderTooLarge):
             age(complete_graph(4), 5)
+
+    def test_negative_size_rejected(self):
+        # A negative k used to give an empty age, and with it a false HH
+        # verdict for P5 from the conditions decider.
+        g = path_graph(5)
+        for call in (
+            lambda: age(g, -1),
+            lambda: kk_okk(g, -1),
+            lambda: decide_hh_conditions(g, k=-3),
+        ):
+            with pytest.raises(ValueError, match="k must be at least 0"):
+                call()
+
+    def test_negative_embedding_cap_rejected(self):
+        # Slicing with -1 used to drop the last embedding silently.
+        with pytest.raises(ValueError, match="embedding_cap"):
+            age(complete_graph(3), 2, embedding_cap=-1)
+        assert [len(c.embeddings) for c in age(complete_graph(3), 2, embedding_cap=0)] == [0, 0]
 
 
 class TestKkOkk:
@@ -210,12 +236,80 @@ class TestDecideConditions:
     def test_agreement_with_direct(self, g):
         assert decide_xy(g, "H", "H").verdict == decide_hh_conditions(g).verdict
 
+    def test_order_cap(self):
+        # The age computation caps the decider; there is no override.
+        with pytest.raises(OrderTooLarge, match="capped at size 10"):
+            decide_hh_conditions(empty_graph(11))
+
+    def test_surjections_validate_up_to_order_6(self):
+        # Every condition-2 witness is a surjective homomorphism between
+        # the two class representatives it names.
+        seen = 0
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                ce = decide_hh_conditions(g).counterexample
+                if ce is None or ce["condition"] != 2:
+                    continue
+                reps = {cls.code: cls.representative for cls in kk_okk(g, n).classes}
+                assert validate_total_map(
+                    reps[ce["upper_code"]],
+                    reps[ce["lower_code"]],
+                    ce["surjection"],
+                    MorphismConstraints(surjective=True),
+                )
+                seen += 1
+        assert seen > 0
+
     def test_rs3_truncation_verdict_recorded(self, rs3_m2):
         # Computed, not presumed: the m=2 truncation fails HH because one
         # clique part runs out of cones for a diamond-shaped image.
         direct = decide_xy(rs3_m2, "H", "H")
         conditions = decide_hh_conditions(rs3_m2)
         assert direct.verdict == conditions.verdict == False  # noqa: E712
+
+
+def _cones(g, vs) -> list[int]:
+    return [w for w in range(g.n) if all(g.has_edge(w, v) for v in vs)]
+
+
+def _stuck(g, f, local_i) -> list[int]:
+    """Vertices outside the domain of f that no image adds to f as a local
+    isomorphism."""
+    domain = {u for u, _ in f}
+    return [
+        a
+        for a in range(g.n)
+        if a not in domain
+        and not any(tuple(sorted(f + ((a, t),))) in local_i for t in range(g.n))
+    ]
+
+
+def _least_route_failure(g, x, y, local, extendable):
+    """The counterexample an enumerating route of decide_xy must report, as
+    (map, unextendable vertex): its least failing local map in (domain
+    size, domain, images) order.  None for the closed-form cells, and
+    (None, None) when nothing fails."""
+    if (x, y) == ("H", "H"):
+        failing = [
+            f
+            for f in local["H"]
+            if _cones(g, [u for u, _ in f]) and not _cones(g, {t for _, t in f})
+        ]
+    elif y == "H":
+        failing = local[x] - extendable["H"]
+    elif x == "I":
+        failing = [f for f in local["I"] if _stuck(g, f, local["I"])]
+    else:
+        return None
+    if not failing:
+        return None, None
+    least = min(failing, key=lambda f: (len(f), [u for u, _ in f], [t for _, t in f]))
+    vertex = None
+    if (x, y) == ("H", "H"):
+        vertex = _cones(g, [u for u, _ in least])[0]
+    elif y != "H":
+        vertex = _stuck(g, least, local["I"])[0]
+    return [list(p) for p in least], vertex
 
 
 class TestCatalogCrossChecks:
@@ -270,21 +364,34 @@ class TestCatalogCrossChecks:
         # Verdicts against endomorphisms enumerated kind by kind.  Every
         # counterexample is a local x-morphism that no y-endomorphism
         # restricts to, and a named vertex has no image keeping it local.
+        # The enumerating routes report their least failing map, on each
+        # class and on a seeded relabelling of it.
+        rng = random.Random(7027)
         for n in range(1, 6):
-            for g in enumerate_graphs(n):
-                local = brute_local_morphisms(g)
-                extendable = brute_extendable(g)
-                for x in "HMI":
-                    for y in "HMEBAI":
-                        report = decide_xy(g, x, y)
-                        assert report.verdict == (local[x] <= extendable[y])
-                        if not report.verdict:
-                            f = tuple(tuple(p) for p in report.counterexample["map"])
-                            assert f in local[x] and f not in extendable[y]
-                            a = report.counterexample["unextendable_vertex"]
-                            if a is not None:
-                                for t in range(n):
-                                    assert tuple(sorted(f + ((a, t),))) not in local[x]
+            for rep in enumerate_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for g in (rep, rep.relabel(perm)):
+                    local = brute_local_morphisms(g)
+                    extendable = brute_extendable(g)
+                    for x in "HMI":
+                        for y in "HMEBAI":
+                            report = decide_xy(g, x, y)
+                            assert report.verdict == (local[x] <= extendable[y])
+                            ce = report.counterexample
+                            if not report.verdict:
+                                f = tuple(tuple(p) for p in ce["map"])
+                                assert f in local[x] and f not in extendable[y]
+                                a = ce["unextendable_vertex"]
+                                if a is not None:
+                                    for t in range(n):
+                                        assert tuple(sorted(f + ((a, t),))) not in local[x]
+                            least = _least_route_failure(g, x, y, local, extendable)
+                            if least is not None:
+                                got = (None, None) if ce is None else (
+                                    ce["map"], ce["unextendable_vertex"]
+                                )
+                                assert got == least, (g.masks, x, y)
 
     def test_m_counterexamples_replay(self):
         # A returned counterexample either fails the seed-kind requirement

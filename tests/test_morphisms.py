@@ -1,5 +1,6 @@
 """Morphism search, endomorphism extension, canonical codes, enumeration."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -35,6 +36,35 @@ def graphs(draw, max_n=5):
     n = draw(st.integers(min_value=1, max_value=max_n))
     bits = draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
     return graph_from_bits(n, bits)
+
+
+_CONSTRAINT_SETS = (
+    MorphismConstraints(),
+    MorphismConstraints(injective=True),
+    MorphismConstraints(surjective=True),
+    MorphismConstraints(injective=True, surjective=True, respect_nonedges=True),
+)
+
+
+def _brute_least_map(a, b, seed_pairs, c):
+    """Least total map a -> b by enumerating all of them in lexicographic
+    order, each constraint checked from its definition."""
+    for f in product(range(b.n), repeat=a.n):
+        if any(f[u] != t for u, t in seed_pairs):
+            continue
+        if any(not b.has_edge(f[u], f[v]) for u, v in a.edges()):
+            continue
+        if c.injective and len(set(f)) < a.n:
+            continue
+        if c.surjective and len(set(f)) < b.n:
+            continue
+        if c.respect_nonedges and any(
+            not a.has_edge(u, v) and (f[u] == f[v] or b.has_edge(f[u], f[v]))
+            for u, v in combinations(range(a.n), 2)
+        ):
+            continue
+        return list(f)
+    return None
 
 
 class TestPartialMap:
@@ -89,15 +119,28 @@ class TestSearchMorphism:
     @given(graphs(), graphs())
     @settings(max_examples=40)
     def test_witness_validates(self, a, b):
-        for constraints in (
-            MorphismConstraints(),
-            MorphismConstraints(injective=True),
-            MorphismConstraints(surjective=True),
-            MorphismConstraints(injective=True, surjective=True, respect_nonedges=True),
-        ):
+        for constraints in _CONSTRAINT_SETS:
             got = search_morphism(a, b, None, constraints)
             if got is not None:
                 assert validate_total_map(a, b, got, constraints)
+
+    def test_least_map_against_enumeration_under_every_constraint_set(self):
+        # Every third pair is a graph and a relabelling of it, so that the
+        # automorphism-like constraint set has maps to find.
+        rng = random.Random(3301)
+        for i in range(120):
+            a, b = (
+                graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2))
+                for n in (rng.randint(1, 5), rng.randint(1, 5))
+            )
+            if i % 3 == 0:
+                b = a.relabel(rng.sample(range(a.n), a.n))
+            seed = ((rng.randrange(a.n), rng.randrange(b.n)),)
+            for c in _CONSTRAINT_SETS:
+                for pairs in ((), seed):
+                    got = search_morphism(a, b, PartialMap(pairs), c)
+                    expected = _brute_least_map(a, b, pairs, c)
+                    assert got == expected, (a.masks, b.masks, pairs, c)
 
 
 class TestExtendsIn:
