@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInvariant, NotADirectoryBase, StarNumberZero, Undominated
 
@@ -272,14 +272,21 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
     vs = sorted(set(s))
     _mask_of(vs, g.n)
     index = {v: i for i, v in enumerate(vs)}
-    masks = []
+    return Graph.from_masks(_induced_masks(g.masks, vs)), index
+
+
+def _induced_masks(masks: tuple[int, ...], vs: Sequence[int]) -> tuple[int, ...]:
+    """Neighbourhood masks of the subgraph induced on vs, with vs[i]
+    renumbered i."""
+    rows = []
     for v in vs:
         row = 0
+        mask = masks[v]
         for i, u in enumerate(vs):
-            if g.masks[v] >> u & 1:
+            if mask >> u & 1:
                 row |= 1 << i
-        masks.append(row)
-    return Graph.from_masks(masks), index
+        rows.append(row)
+    return tuple(rows)
 
 
 def _common_mask(masks: tuple[int, ...], smask: int, n: int) -> int:

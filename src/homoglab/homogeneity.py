@@ -40,16 +40,16 @@ vertex outside the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import OrderTooLarge
-from .graphs import Graph, _common_mask, _iter_bits
+from .graphs import Graph, _common_mask, _induced_masks, _iter_bits
 from .morphisms import (
     KINDS,
     MorphismConstraints,
     PartialMap,
-    canonical_code,
+    _code,
     extends_in,
     search_morphism,
 )
@@ -129,21 +129,6 @@ class HomogReport:
         }
 
 
-_SIG_CODE_CACHE: dict[tuple[int, tuple[int, ...]], bytes] = {}
-
-
-def _induced_signature(g: Graph, vs: tuple[int, ...]) -> tuple[int, ...]:
-    rows = []
-    for v in vs:
-        row = 0
-        mask = g.masks[v]
-        for i, u in enumerate(vs):
-            if mask >> u & 1:
-                row |= 1 << i
-        rows.append(row)
-    return tuple(rows)
-
-
 _CODE_LIMIT = 10
 
 
@@ -158,20 +143,12 @@ def _scan_classes(g: Graph, k: int) -> list[dict]:
     classes: dict[bytes, dict] = {}
     for size in range(1, k + 1):
         for comb in combinations(range(g.n), size):
-            sig = _induced_signature(g, comb)
-            key = (size, sig)
-            code = _SIG_CODE_CACHE.get(key)
-            rep = None
-            if code is None:
-                rep = Graph.from_masks(sig)
-                code = canonical_code(rep)
-                _SIG_CODE_CACHE[key] = code
+            sig = _induced_masks(g.masks, comb)
+            code = _code(sig)
             cls = classes.get(code)
             if cls is None:
-                if rep is None:
-                    rep = Graph.from_masks(sig)
                 cls = {
-                    "representative": rep,
+                    "representative": Graph.from_masks(sig),
                     "code": code,
                     "embeddings": [],
                     "coned": None,
@@ -193,19 +170,10 @@ def age(g: Graph, k: int, embedding_cap: int | None = None) -> list[AgeClass]:
     """One AgeClass per isomorphism type of induced subgraph of size <= k."""
     if embedding_cap is not None and embedding_cap < 0:
         raise ValueError(f"embedding_cap must be at least 0, got {embedding_cap}")
-    result = []
-    for cls in _scan_classes(g, k):
-        embeddings = cls["embeddings"]
-        if embedding_cap is not None:
-            embeddings = embeddings[:embedding_cap]
-        result.append(
-            AgeClass(
-                representative=cls["representative"],
-                code=cls["code"],
-                embeddings=tuple(embeddings),
-            )
-        )
-    return result
+    return [
+        replace(cls, embeddings=cls.embeddings[:embedding_cap])
+        for cls in kk_okk(g, k).classes
+    ]
 
 
 def kk_okk(g: Graph, k: int) -> AgePartition:
@@ -463,9 +431,11 @@ def decide_hh_conditions(g: Graph, k: int | None = None) -> HomogReport:
     Condition 1: no age class has both a coned and a cone-free embedding.
     Condition 2: the coned classes are upward closed under the surjective
     homomorphism order, tested as: no coned class maps onto a cone-free one.
-    A complete verdict needs k = order(g).
+    A complete verdict needs k = order(g); a positive verdict for a smaller
+    k says so in its note.
     """
-    part = kk_okk(g, g.n if k is None else k)
+    k = g.n if k is None else k
+    part = kk_okk(g, k)
     if part.conflicts:
         c = part.conflicts[0]
         return HomogReport(
@@ -503,4 +473,12 @@ def decide_hh_conditions(g: Graph, k: int | None = None) -> HomogReport:
                         "surjection": surj,
                     },
                 )
-    return HomogReport(verdict=True, x_kind="H", y_kind="H", method="conditions")
+    note = None
+    if k < g.n:
+        note = (
+            f"partial age: the verdict covers only induced subgraphs of at most "
+            f"{k} vertices of an order-{g.n} graph"
+        )
+    return HomogReport(
+        verdict=True, x_kind="H", y_kind="H", method="conditions", note=note
+    )

@@ -10,6 +10,7 @@ orders this package works with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import InternalInvariant, OrderTooLarge, SeedNotLocalMorphism
@@ -237,7 +238,9 @@ def extends_in(g: Graph, f: PartialMap, kind: str) -> list[int] | None:
 
 # --- canonical forms -------------------------------------------------------
 
-_CODE_CACHE: dict[tuple[int, tuple[int, ...]], bytes] = {}
+# Each column is packed into 2 bytes, so it holds at most 16 earlier
+# vertices.
+_CODE_FORMAT_ORDER = 17
 
 
 def canonical_code(g: Graph, max_order: int = 10) -> bytes:
@@ -245,17 +248,27 @@ def canonical_code(g: Graph, max_order: int = 10) -> bytes:
 
     Columns are the bit strings b(p0,pk)...b(p(k-1),pk) over all vertex
     orderings p, minimized lexicographically.  Exact and permutation
-    invariant; exponential, hence the order cap.
+    invariant; exponential, hence the order cap.  The code format holds at
+    most 17 vertices, whatever max_order says.
     """
     n = g.n
     if n > max_order:
         raise OrderTooLarge(f"canonical code capped at order {max_order}, got {n}")
-    key = (n, g.masks)
-    hit = _CODE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if n > _CODE_FORMAT_ORDER:
+        raise OrderTooLarge(
+            f"canonical code format holds at most {_CODE_FORMAT_ORDER} vertices, got {n}"
+        )
+    return _code(g.masks)
 
-    adj = g.masks
+
+@lru_cache(maxsize=1 << 15)
+def _code(adj: tuple[int, ...]) -> bytes:
+    """canonical_code of the graph with neighbourhood masks adj, memoised.
+
+    The only memo in the package; its size is fixed, so a long run evicts
+    the least recently used codes and recomputes them when asked again.
+    """
+    n = len(adj)
     best: list[int] | None = None
     perm: list[int] = []
     prefix: list[int] = []
@@ -296,14 +309,10 @@ def canonical_code(g: Graph, max_order: int = 10) -> bytes:
 
     dfs(0)
     cols = best if best is not None else []
-    code = bytes([n]) + b"".join(c.to_bytes(2, "big") for c in cols)
-    _CODE_CACHE[key] = code
-    return code
+    return bytes([n]) + b"".join(c.to_bytes(2, "big") for c in cols)
 
 
 # --- exhaustive enumeration up to isomorphism ------------------------------
-
-_REPS_CACHE: dict[int, tuple[Graph, ...]] = {}
 
 
 def _extend(g: Graph, nbr_mask: int) -> Graph:
@@ -314,34 +323,27 @@ def _extend(g: Graph, nbr_mask: int) -> Graph:
     return Graph.from_masks(masks)
 
 
-def _reps(n: int) -> tuple[Graph, ...]:
-    if n in _REPS_CACHE:
-        return _REPS_CACHE[n]
-    if n == 1:
-        reps = (Graph(1),)
-    else:
-        seen: dict[bytes, Graph] = {}
-        for g in _reps(n - 1):
-            for mask in range(1 << (n - 1)):
-                h = _extend(g, mask)
-                code = canonical_code(h, max_order=n)
-                if code not in seen:
-                    seen[code] = h
-        reps = tuple(h for _, h in sorted(seen.items()))
-    _REPS_CACHE[n] = reps
-    return reps
-
-
 def enumerate_graphs(n: int, max_order: int = 8) -> Iterator[Graph]:
     """One representative per isomorphism class of n-vertex graphs.
 
     Built by one-vertex extensions of the (n-1)-vertex representatives,
     deduplicated through canonical codes; every n-vertex graph arises this
     way since deleting a vertex lands in some (n-1)-vertex class.  Output
-    is ordered by canonical code.
+    is ordered by canonical code.  Each call builds orders 2..n afresh;
+    the code memo makes a repeated call cheap.
     """
     if n < 1:
         raise ValueError("enumeration starts at order 1")
     if n > max_order:
         raise OrderTooLarge(f"enumeration capped at order {max_order}, got {n}")
-    yield from _reps(n)
+    reps = (Graph(1),)
+    for order in range(2, n + 1):
+        seen: dict[bytes, Graph] = {}
+        for g in reps:
+            for mask in range(1 << (order - 1)):
+                h = _extend(g, mask)
+                code = canonical_code(h, max_order=order)
+                if code not in seen:
+                    seen[code] = h
+        reps = tuple(h for _, h in sorted(seen.items()))
+    yield from reps

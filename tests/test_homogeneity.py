@@ -231,6 +231,22 @@ class TestDecideConditions:
         assert report.counterexample["upper_code"] == canonical_code(empty_graph(2))
         assert report.counterexample["lower_code"] == canonical_code(complete_graph(2))
 
+    def test_partial_age_says_so(self):
+        # P5 is not HH, yet its age up to one vertex passes both conditions;
+        # the positive verdict names the part of the age it covers.
+        g = path_graph(5)
+        assert not decide_xy(g, "H", "H").verdict
+        for k in (0, 1):
+            report = decide_hh_conditions(g, k=k)
+            assert report.verdict
+            assert f"at most {k} vertices of an order-5 graph" in report.note
+        # The whole age needs no note, whether k is given or not.
+        assert decide_hh_conditions(g, k=5) == decide_hh_conditions(g)
+        assert decide_hh_conditions(complete_graph(4), k=4).note is None
+        assert decide_hh_conditions(complete_graph(4)).note is None
+        # A counterexample found in a partial age is a real one.
+        assert decide_hh_conditions(path_graph(7), k=2).note is None
+
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_agreement_with_direct(self, g):

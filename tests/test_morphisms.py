@@ -27,6 +27,8 @@ from homoglab.morphisms import (
     search_morphism,
     validate_total_map,
 )
+from homoglab.homogeneity import kk_okk
+from homoglab.verify import random_graph
 
 from conftest import brute_min_code, graph_from_bits
 
@@ -223,6 +225,22 @@ class TestCanonicalCode:
         with pytest.raises(OrderTooLarge):
             canonical_code(empty_graph(11))
 
+    def test_format_limit(self):
+        # Each column is packed into 2 bytes, so the format holds at most
+        # 17 vertices; a larger graph is refused before any search,
+        # whatever max_order says.
+        g = random_graph(random.Random(3), 18, 0.5)
+        for max_order in (18, 100):
+            with pytest.raises(OrderTooLarge, match="at most 17 vertices, got 18"):
+                canonical_code(g, max_order=max_order)
+        # Order 17 fits; this dense graph keeps the search short.
+        g = random_graph(random.Random(3), 17, 0.7)
+        code = canonical_code(g, max_order=17)
+        assert len(code) == 1 + 2 * 17
+        perm = list(range(17))
+        random.Random(4).shuffle(perm)
+        assert canonical_code(g.relabel(perm), max_order=17) == code
+
     @given(graphs(max_n=5), graphs(max_n=5))
     @settings(max_examples=60)
     def test_complete_invariant_matches_brute_force(self, a, b):
@@ -254,3 +272,45 @@ class TestEnumeration:
         first = [canonical_code(g) for g in enumerate_graphs(5)]
         second = [canonical_code(g) for g in enumerate_graphs(5)]
         assert first == second
+
+
+class TestCodeMemo:
+    """No result depends on the state of the canonical-code memo.
+
+    The enumeration test comes first: in a full run the order-7 codes are
+    still in the memo from the acceptance suite, and the tests after it
+    clear the memo.
+    """
+
+    def test_enumeration(self):
+        # Order 7 fills the memo with 11,290 codes; order 5 read from it
+        # must match order 5 built from a cleared memo.
+        list(enumerate_graphs(7))
+        after_seven = [g.masks for g in enumerate_graphs(5)]
+        morphisms._code.cache_clear()
+        assert [g.masks for g in enumerate_graphs(5)] == after_seven
+
+    def test_memo_is_bounded(self):
+        assert morphisms._code.cache_info().maxsize == 1 << 15
+
+    def test_codes(self):
+        # Codes of every class of order <= 6, under a seeded relabelling,
+        # are the same from a warm memo and from a cleared one.
+        rng = random.Random(61)
+        sample = []
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                sample.append(g.relabel(perm))
+        warm = [canonical_code(g) for g in sample]
+        morphisms._code.cache_clear()
+        assert [canonical_code(g) for g in sample] == warm
+
+    def test_age_partition(self):
+        rng = random.Random(8)
+        sample = [random_graph(rng, n, 0.5) for n in range(1, 9)]
+        sample += [path_graph(7), cycle_graph(6)]
+        warm = [kk_okk(g, g.n) for g in sample]
+        morphisms._code.cache_clear()
+        assert [kk_okk(g, g.n) for g in sample] == warm
