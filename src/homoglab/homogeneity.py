@@ -3,7 +3,10 @@
 Two independent routes decide HH-homogeneity of a finite graph:
 
 * decide_xy runs a one-point check: a graph is HH exactly when every
-  homomorphism from a coned domain has a coned image.
+  homomorphism from a coned domain has a coned image.  Subsets of coned
+  sets are coned and an image is no larger than its domain, so domains
+  smaller than the smallest coneless set cannot fail and are skipped; on
+  K_n, where only the whole vertex set is coneless, no map is walked.
 * decide_hh_conditions tests the combinatorial characterization: no age
   class may have both a coned and a cone-free embedding, and the coned part
   of the age must be upward closed under the surjective-homomorphism order.
@@ -308,14 +311,24 @@ def _counterexample(domain, images, vertex, reason) -> dict:
 
 def _decide_hh_direct(g: Graph) -> HomogReport:
     """One-point route for (H, H): over every coned domain and every
-    homomorphism from it, the image must again have a cone."""
+    homomorphism from it, the image must again have a cone.
+
+    A subset of a coned set is coned, so every set smaller than the
+    smallest coneless one is coned.  An image has at most as many vertices
+    as its domain, so a smaller domain cannot fail and is skipped; the
+    least failing map is unchanged.  The full vertex set is coneless, so on
+    K_n no map is walked.
+    """
     # cones[mask]: the common neighbours of the vertex set mask.
     cones = [(1 << g.n) - 1] * (1 << g.n)
     for mask in range(1, len(cones)):
         low = mask & -mask
         cones[mask] = cones[mask ^ low] & g.masks[low.bit_length() - 1]
+    smallest = min(mask.bit_count() for mask, cone in enumerate(cones) if not cone)
 
     for domain in _domains(g.n):
+        if len(domain) < smallest:
+            continue
         dcones = cones[sum(1 << v for v in domain)]
         if not dcones:
             continue

@@ -267,8 +267,25 @@ def _code(adj: tuple[int, ...]) -> bytes:
 
     The only memo in the package; its size is fixed, so a long run evicts
     the least recently used codes and recomputes them when asked again.
+
+    Twin pruning: u and w are twins when their neighbourhoods agree outside
+    {u, w}.  Swapping them is an automorphism that fixes every other
+    vertex, so while both are unplaced they get the same column, and the
+    subtrees below them give the same set of column strings.  So each
+    search node skips a candidate that has a twin already tried at that
+    node.  The minimum, and so the code, is the one the full search finds;
+    K_n and I_n take a single path instead of n! leaves.  Graphs without
+    twins keep their full search.
     """
     n = len(adj)
+    twins = [
+        sum(
+            1 << w
+            for w in range(n)
+            if w != u and not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w)
+        )
+        for u in range(n)
+    ]
     best: list[int] | None = None
     perm: list[int] = []
     prefix: list[int] = []
@@ -298,9 +315,13 @@ def _code(adj: tuple[int, ...]) -> bytes:
                 col = col << 1 | (row >> p & 1)
             cands.append((col, u))
         cands.sort()
+        tried = 0
         for col, u in cands:
             if best is not None and prefix_beats_best(col):
                 break
+            if twins[u] & tried:
+                continue
+            tried |= 1 << u
             perm.append(u)
             prefix.append(col)
             dfs(used | 1 << u)

@@ -8,7 +8,15 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from homoglab.graphs import Graph, address, common_neighborhood, exact_neighborhood
+from homoglab.graphs import (
+    Graph,
+    address,
+    common_neighborhood,
+    complete_graph,
+    disjoint_union,
+    empty_graph,
+    exact_neighborhood,
+)
 
 
 def petersen() -> Graph:
@@ -18,6 +26,14 @@ def petersen() -> Graph:
         edges.append((5 + i, 5 + (i + 2) % 5))  # inner pentagram
         edges.append((i, 5 + i))               # spokes
     return Graph(10, edges)
+
+
+def clique_union(sizes) -> Graph:
+    """Disjoint union of complete graphs of the given sizes, in order."""
+    g = empty_graph(0)
+    for size in sizes:
+        g = disjoint_union(g, complete_graph(size))
+    return g
 
 
 def brute_alpha(g: Graph) -> int:
@@ -72,6 +88,42 @@ def brute_min_code(g: Graph) -> tuple:
         if best is None or val < best:
             best = val
     return (g.n, best)
+
+
+def reference_min_column_code(g: Graph) -> bytes:
+    """canonical_code by the plain minimum-column-string search, with no
+    symmetry pruning: every vertex ordering whose column prefix can still
+    tie the best one is walked.  Exponential (n! leaves on K_n and I_n), so
+    only for small orders."""
+    n, adj = g.n, g.masks
+    best = None
+    perm: list[int] = []
+    prefix: list[int] = []
+
+    def dfs(used: int) -> None:
+        nonlocal best
+        if len(perm) == n:
+            if best is None or prefix < best:
+                best = prefix.copy()
+            return
+        cands = []
+        for u in range(n):
+            if not used >> u & 1:
+                col = 0
+                for p in perm:
+                    col = col << 1 | (adj[u] >> p & 1)
+                cands.append((col, u))
+        for col, u in sorted(cands):
+            if best is not None and prefix + [col] > best[: len(prefix) + 1]:
+                break
+            perm.append(u)
+            prefix.append(col)
+            dfs(used | 1 << u)
+            perm.pop()
+            prefix.pop()
+
+    dfs(0)
+    return bytes([n]) + b"".join(c.to_bytes(2, "big") for c in best or [])
 
 
 def graph_from_bits(n: int, bits: int) -> Graph:

@@ -15,9 +15,11 @@ from homoglab.graphs import (
     disjoint_union,
     empty_graph,
     induced_subgraph,
+    lex_product,
     path_graph,
 )
 from homoglab.homogeneity import (
+    _local_maps,
     age,
     decide_hh_conditions,
     decide_xy,
@@ -36,7 +38,9 @@ from homoglab.morphisms import (
 from conftest import (
     brute_extendable,
     brute_local_morphisms,
+    clique_union,
     graph_from_bits,
+    petersen,
 )
 
 
@@ -209,6 +213,65 @@ class TestDecideXY:
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
             decide_xy(empty_graph(11), "H", "H")
+
+
+def _unskipped_hh_walk(g) -> dict:
+    """The (H, H) report as a dict, from a walk over every coned domain in
+    (size, domain) order from size 0 up, with no domain skipped."""
+    report = {"verdict": True, "x_kind": "H", "y_kind": "H", "method": "direct",
+              "counterexample": None, "note": None}
+    for size in range(g.n + 1):
+        for domain in combinations(range(g.n), size):
+            cones = _cones(g, domain)
+            if not cones:
+                continue
+            for images, _ in _local_maps(g, domain, "H"):
+                if not _cones(g, images):
+                    report["verdict"] = False
+                    report["counterexample"] = {
+                        "map": [[u, t] for u, t in zip(domain, images)],
+                        "unextendable_vertex": cones[0],
+                        "reason": "image of the domain has no cone",
+                    }
+                    return report
+    return report
+
+
+class TestHHDomainSkip:
+    """decide_xy(g, "H", "H") skips every domain smaller than the smallest
+    coneless vertex set; the skipped domains hold no failure."""
+
+    def test_matches_unskipped_walk_up_to_order_6(self):
+        rng = random.Random(6151)
+        for n in range(1, 7):
+            for rep in enumerate_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = rep.relabel(perm)
+                assert decide_xy(g, "H", "H").to_dict() == _unskipped_hh_walk(g), g.masks
+
+    def test_order_10_catalogue(self):
+        # Unions of equal cliques are HH: a coned set lies inside one clique
+        # short of its whole, and a homomorphism maps a clique onto a clique
+        # of the same size.  K5[I2] is not: a homomorphism spreads a coned
+        # K_{2,2,2,2} over all five parts.  Nor is Petersen: a coned
+        # non-edge maps onto an edge, and Petersen has no triangle.  Nor is
+        # C5[K2]: with x, x' in one block and y two blocks on, the coned
+        # {x, x', y} maps to x, a vertex of the next block and one of the
+        # block opposite these two, which have no common neighbour.
+        expected = {
+            "K9": (complete_graph(9), True),
+            "K10": (complete_graph(10), True),
+            "I10": (empty_graph(10), True),
+            "2K5": (clique_union((5, 5)), True),
+            "5K2": (clique_union((2,) * 5), True),
+            "K5[I2]": (lex_product(complete_graph(5), empty_graph(2)), False),
+            "C5[K2]": (lex_product(cycle_graph(5), complete_graph(2)), False),
+            "Petersen": (petersen(), False),
+        }
+        for name, (g, verdict) in expected.items():
+            assert decide_xy(g, "H", "H").verdict == verdict, name
+            assert decide_hh_conditions(g).verdict == verdict, name
 
 
 class TestDecideConditions:

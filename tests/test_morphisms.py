@@ -10,6 +10,7 @@ from homoglab import morphisms
 from homoglab.errors import InternalInvariant, OrderTooLarge, SeedNotLocalMorphism
 from homoglab.graphs import (
     Graph,
+    complement,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -30,7 +31,12 @@ from homoglab.morphisms import (
 from homoglab.homogeneity import kk_okk
 from homoglab.verify import random_graph
 
-from conftest import brute_min_code, graph_from_bits
+from conftest import (
+    brute_min_code,
+    clique_union,
+    graph_from_bits,
+    reference_min_column_code,
+)
 
 
 @st.composite
@@ -67,6 +73,23 @@ def _brute_least_map(a, b, seed_pairs, c):
             continue
         return list(f)
     return None
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _partitions(n, largest=None):
+    """Every partition of n into parts of at most largest, parts descending."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
 class TestPartialMap:
@@ -202,7 +225,7 @@ class TestExtendsIn:
                 self._check_h_extension_against_enumeration(g)
 
     @given(graphs(max_n=5))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, derandomize=True)
     def test_h_extension_matches_total_enumeration_sampled(self, g):
         self._check_h_extension_against_enumeration(g)
 
@@ -240,6 +263,49 @@ class TestCanonicalCode:
         perm = list(range(17))
         random.Random(4).shuffle(perm)
         assert canonical_code(g.relabel(perm), max_order=17) == code
+
+    def test_matches_reference_on_every_class_up_to_order_7(self):
+        rng = random.Random(1907)
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                h = _shuffled(g, rng)
+                assert canonical_code(h) == reference_min_column_code(h), g.masks
+
+    def test_matches_reference_on_twin_rich_graphs(self):
+        # Unions of cliques of every size profile up to order 8, their
+        # complements (the complete multipartite graphs, K_m[I_k] among
+        # them), and C4[K2]: nearly every vertex has a twin.
+        # K_n and I_n arise twice; a dict keeps one of each, in order.
+        rng = random.Random(2719)
+        sample = {lex_product(cycle_graph(4), complete_graph(2)): None}
+        for n in range(2, 9):
+            for parts in _partitions(n):
+                union = clique_union(parts)
+                sample.update(dict.fromkeys([union, complement(union)]))
+        for g in sample:
+            h = _shuffled(g, rng)
+            assert canonical_code(h) == reference_min_column_code(h), g.masks
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = random.Random(9013)
+        for n in range(2, 10):
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+                for _ in range(3):
+                    g = random_graph(rng, n, p)
+                    assert canonical_code(g) == reference_min_column_code(g), g.masks
+
+    def test_closed_forms_at_order_17(self):
+        # The plain search walks 17! orderings on I17 and K17; the twin
+        # rule walks one.  Column k is 0 on I17 and 2^k - 1 on K17.
+        assert canonical_code(empty_graph(17), max_order=17) == bytes([17]) + bytes(34)
+        k17 = bytes([17]) + b"".join(((1 << k) - 1).to_bytes(2, "big") for k in range(17))
+        assert canonical_code(complete_graph(17), max_order=17) == k17
+        rng = random.Random(1717)
+        k4_of_i4 = lex_product(complete_graph(4), empty_graph(4))
+        for g in (clique_union((4, 4, 4, 4, 1)), k4_of_i4):
+            code = canonical_code(g, max_order=17)
+            for _ in range(3):
+                assert canonical_code(_shuffled(g, rng), max_order=17) == code
 
     @given(graphs(max_n=5), graphs(max_n=5))
     @settings(max_examples=60)
