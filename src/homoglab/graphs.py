@@ -345,15 +345,56 @@ def is_connected(g: Graph) -> bool:
 # The optimiser stays separate: asking _cliques for one clique at each
 # size in turn found the clique number about three times more slowly on
 # 600 G(36, 0.17) graphs (2 vCPU, CPython 3.11.7).
+#
+# Both searches run on _complement_view, the complement relabelled so that
+# bit i stands for order[i], the vertex with the i-th fewest neighbours in
+# g (ties by label).  The greedy colouring then starts from the vertices of
+# highest complement degree, the initial order of Tomita and Seki's MCQ,
+# and branching starts from the far end.  _color_order lists only the
+# vertices whose colour can still reach the cut its caller passes (MCQ
+# again): the others would be cut on sight.  On G(110, 0.1), seed 1, the
+# relabel took alpha from 3-5 s to under 0.5 s (2 vCPU, CPython 3.11.7).
+# Every vertex set a public call returns is mapped back through order, and
+# the lexicographic witnesses walk candidates by original label, so results
+# do not depend on the relabelling.
 
 
-def _co_masks(g: Graph) -> tuple[int, ...]:
-    full = (1 << g.n) - 1
-    return tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.masks))
+def _complement_view(g: Graph) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """(co, order, pos): the complement of g with bit i standing for vertex
+    order[i], and pos the inverse of order.
+
+    Each row is remapped from the sparser of g's row and its complement's,
+    so building the view costs at most n/2 bit moves per vertex.
+    """
+    n = g.n
+    masks = g.masks
+    order = sorted(range(n), key=[m.bit_count() for m in masks].__getitem__)
+    pos = [0] * n
+    bit = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+        bit[v] = 1 << i
+    full = (1 << n) - 1
+    co = []
+    for i, v in enumerate(order):
+        row = masks[v]
+        if 2 * row.bit_count() <= n:
+            flip = full ^ (1 << i)
+        else:
+            row ^= full ^ (1 << v)
+            flip = 0
+        moved = 0
+        while row:
+            low = row & -row
+            moved |= bit[low.bit_length() - 1]
+            row ^= low
+        co.append(moved ^ flip)
+    return tuple(co), order, pos
 
 
-def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
-    """Greedy colouring of cand; returns (vertex, colour) in colour order."""
+def _color_order(adj: tuple[int, ...], cand: int, cut: int) -> list[tuple[int, int]]:
+    """Greedy colouring of cand; returns (vertex, colour) in colour order for
+    the vertices of colour above cut."""
     order = []
     uncolored = cand
     color = 0
@@ -363,7 +404,8 @@ def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
         while avail:
             low = avail & -avail
             v = low.bit_length() - 1
-            order.append((v, color))
+            if color > cut:
+                order.append((v, color))
             uncolored ^= low
             avail = (avail ^ low) & ~adj[v]
     return order
@@ -384,14 +426,12 @@ def _max_clique_size(adj: tuple[int, ...], cand: int, floor: int = 0) -> int:
             if size > best:
                 best = size
             return
-        order = _color_order(adj, cand)
         local = cand
-        for v, c in reversed(order):
+        for v, c in reversed(_color_order(adj, cand, best - size)):
             if size + c <= best:
                 return
-            vbit = 1 << v
             expand(size + 1, local & adj[v])
-            local ^= vbit
+            local ^= 1 << v
 
     expand(0, cand)
     return best
@@ -402,8 +442,8 @@ def _cliques(
 ) -> list[list[int]]:
     """The cliques of exactly need vertices within cand, in branch order.
 
-    A branch is cut as soon as its colouring bound falls short of the
-    vertices still needed; the search stops once limit cliques are found.
+    Only vertices whose colour reaches the number still needed are branched
+    on; the search stops once limit cliques are found.
     """
     found: list[list[int]] = []
     chosen: list[int] = []
@@ -414,9 +454,7 @@ def _cliques(
             found.append(chosen[:])
             return len(found) == limit
         local = cand
-        for v, c in reversed(_color_order(adj, cand)):
-            if c < left:
-                return False
+        for v, _ in reversed(_color_order(adj, cand, left - 1)):
             chosen.append(v)
             if expand(local & adj[v]):
                 return True
@@ -428,14 +466,25 @@ def _cliques(
     return found
 
 
-def _lex_least_clique(adj: tuple[int, ...], cand: int, size: int) -> list[int]:
-    """Lexicographically least clique of the given size within cand."""
+def _lex_least_clique(
+    adj: tuple[int, ...], order: list[int], pos: list[int], cand: int, size: int
+) -> list[int]:
+    """Least clique of the given size within cand, by original labels.
+
+    adj and cand are in the bits of _complement_view (order and pos map
+    between its bits and the labels); the clique is returned as labels.
+    """
+    above = [0] * len(pos)  # above[v]: the view bits of the labels above v
+    acc = 0
+    for v in range(len(pos) - 1, -1, -1):
+        above[v] = acc
+        acc |= 1 << pos[v]
     chosen: list[int] = []
     need = size
     while need:
-        for v in _iter_bits(cand):
-            above = -1 << (v + 1)
-            rest = cand & adj[v] & above
+        for v in sorted(order[i] for i in _iter_bits(cand)):
+            i = pos[v]
+            rest = cand & adj[i] & above[v]
             if _cliques(adj, rest, need - 1, 1):
                 chosen.append(v)
                 cand = rest
@@ -448,11 +497,10 @@ def _lex_least_clique(adj: tuple[int, ...], cand: int, size: int) -> list[int]:
 
 def independence_number(g: Graph) -> tuple[int, list[int]]:
     """Exact alpha(g) with its lexicographically least witness set."""
-    co = _co_masks(g)
+    co, order, pos = _complement_view(g)
     full = (1 << g.n) - 1
     alpha = _max_clique_size(co, full)
-    witness = _lex_least_clique(co, full, alpha)
-    return alpha, witness
+    return alpha, _lex_least_clique(co, order, pos, full, alpha)
 
 
 def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
@@ -464,24 +512,38 @@ def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
     """
     if g.n == 0:
         return 0, None
-    co = _co_masks(g)
-    best, best_v = _star_vertex(g, co)
-    witness = _lex_least_clique(co, g.masks[best_v], best)
-    return best, (best_v, witness)
+    co, order, pos = _complement_view(g)
+    best, v = _star_vertex(co, pos)
+    i = pos[v]
+    nbhd = ((1 << g.n) - 1) ^ co[i] ^ (1 << i)
+    return best, (v, _lex_least_clique(co, order, pos, nbhd, best))
 
 
-def _star_vertex(g: Graph, co: tuple[int, ...]) -> tuple[int, int]:
-    """sigma(g) and the least vertex attaining it (0 for edgeless graphs)."""
+def _star_vertex(co: tuple[int, ...], pos: list[int]) -> tuple[int, int]:
+    """sigma and the least vertex attaining it (0 for edgeless graphs)."""
+    full = (1 << len(co)) - 1
     best = 0
     best_v = 0
-    for v in range(g.n):
-        nbhd = g.masks[v]
+    for v, i in enumerate(pos):
+        nbhd = full ^ co[i] ^ (1 << i)
         if nbhd.bit_count() <= best:
             continue
         size = _max_clique_size(co, nbhd, best)
         if size > best:
             best, best_v = size, v
     return best, best_v
+
+
+def _alpha(g: Graph) -> int:
+    """alpha(g) without a witness."""
+    co, _, _ = _complement_view(g)
+    return _max_clique_size(co, (1 << g.n) - 1)
+
+
+def _sigma(g: Graph) -> int:
+    """sigma(g) without a witness."""
+    co, _, pos = _complement_view(g)
+    return _star_vertex(co, pos)[0]
 
 
 def directories(g: Graph) -> list[list[int]]:
@@ -494,10 +556,10 @@ def directories(g: Graph) -> list[list[int]]:
     """
     if not any(g.masks):
         raise StarNumberZero("directories are undefined for edgeless graphs")
-    co = _co_masks(g)
+    co, order, _ = _complement_view(g)
     full = (1 << g.n) - 1
     alpha = _max_clique_size(co, full)
-    return sorted(sorted(c) for c in _cliques(co, full, alpha))
+    return sorted(sorted(order[i] for i in c) for c in _cliques(co, full, alpha))
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
@@ -535,11 +597,9 @@ def is_directory(g: Graph, i: Iterable[int], relaxed: bool = False) -> bool:
         return False
     if not is_independent_dominating(g, iset):
         return False
-    co = _co_masks(g)
     if relaxed:
-        sigma, _ = _star_vertex(g, co)
-        return len(iset) >= 2 * sigma - 1
-    return len(iset) == _max_clique_size(co, (1 << g.n) - 1)
+        return len(iset) >= 2 * _sigma(g) - 1
+    return len(iset) == _alpha(g)
 
 
 def _require_base(g: Graph, i: Iterable[int]) -> int:

@@ -18,13 +18,14 @@ from math import ceil
 from .errors import OrderTooLarge, StarNumberZero
 from .graphs import (
     Graph,
+    _alpha,
     _iter_bits,
     _list_of,
     _require_base,
+    _sigma,
     domination_number,
     independence_number,
     induced_subgraph,
-    star_number,
 )
 from .homogeneity import decide_hh_conditions, decide_xy
 from .morphisms import enumerate_graphs
@@ -132,7 +133,7 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
     """
     start = time.perf_counter()
     imask = _require_base(g, i)
-    sigma, _ = star_number(g)
+    sigma = _sigma(g)
     if sigma < 1:
         raise StarNumberZero("directory lemmas need star number at least 1")
     failures: list[dict] = []
@@ -294,7 +295,7 @@ def verify_neighbor_richness(g: Graph, i, threshold: int) -> SuiteReport:
     """
     start = time.perf_counter()
     imask = _require_base(g, i)
-    sigma, _ = star_number(g)
+    sigma = _sigma(g)
     if sigma < 1:
         raise StarNumberZero("richness checks need star number at least 1")
     _, exact = _address_table(g, imask)
@@ -346,7 +347,7 @@ class TriangleSearchResult:
 def find_triangle_dom2(g: Graph, i) -> TriangleSearchResult:
     """Least triangle whose domination number over the index set is 2."""
     _require_base(g, i)
-    sigma, _ = star_number(g)
+    sigma = _sigma(g)
     if sigma < 2:
         return TriangleSearchResult(
             None, None, f"star number is {sigma}; the statement assumes at least 2"
@@ -384,8 +385,8 @@ def verify_alpha_bound_family(
             if m < 2:
                 raise ValueError("clique parts need at least 2 vertices")
             g = rs_truncation(n, m)
-            alpha, _ = independence_number(g)
-            sigma, _ = star_number(g)
+            alpha = _alpha(g)
+            sigma = _sigma(g)
             bound = 2 * sigma + ceil(sigma / 2) - 1
             checked += 1
             rows.append(

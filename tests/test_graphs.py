@@ -383,6 +383,126 @@ class TestDirectories:
             is_independent_dominating(path_graph(3), [3])
 
 
+def _lex_least_independent(g, pool, size):
+    for sub in combinations(sorted(pool), size):
+        if all(not g.has_edge(u, v) for u, v in combinations(sub, 2)):
+            return list(sub)
+    return None
+
+
+def _brute_results(g):
+    """alpha, sigma and directories with their witnesses, by enumeration."""
+    alpha = brute_alpha(g)
+    alpha_witness = _lex_least_independent(g, range(g.n), alpha)
+    sigma_witness = None
+    sigma = 0
+    for v in range(g.n):
+        sub, _ = induced_subgraph(g, g.neighbors(v))
+        size = brute_alpha(sub)
+        if sigma_witness is None or size > sigma:
+            sigma = size
+            sigma_witness = (v, _lex_least_independent(g, g.neighbors(v), size))
+    dirs = [list(s) for s in brute_independent_dominating_of_size(g, alpha)]
+    return (alpha, alpha_witness), (sigma, sigma_witness), dirs
+
+
+def _rook_3x3():
+    cells = list(product(range(3), repeat=2))
+    return Graph(
+        9,
+        [
+            (3 * a + b, 3 * c + d)
+            for (a, b), (c, d) in combinations(cells, 2)
+            if a == c or b == d
+        ],
+    )
+
+
+class TestRelabelledSearch:
+    """The clique searches run on the complement relabelled by degree; these
+    graphs have degree orders far from the labels, or ties that only the
+    stable order breaks, and every result must still be in original labels."""
+
+    @staticmethod
+    def _check(g):
+        alpha, sigma, dirs = _brute_results(g)
+        assert independence_number(g) == alpha
+        assert star_number(g) == sigma
+        if g.edge_count():
+            assert directories(g) == dirs
+            assert directories(g)[0] == alpha[1]
+            assert is_directory(g, alpha[1])
+        else:
+            with pytest.raises(StarNumberZero):
+                directories(g)
+
+    def test_degree_descending_in_label(self):
+        n = 9
+        star = Graph(n, [(0, v) for v in range(1, n)])
+        # Endpoints of the path carry the two highest labels.
+        path = path_graph(n).relabel([n - 1] + list(range(n - 2)) + [n - 2])
+        threshold = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if u + v < n - 1])
+        for g in (star, path, threshold):
+            degrees = [g.degree(v) for v in range(n)]
+            assert degrees != sorted(degrees)
+            self._check(g)
+        assert star_number(path) == (2, (0, [1, 8]))
+        assert independence_number(threshold) == (5, [3, 5, 6, 7, 8])
+
+    def test_regular_graphs_tie_on_every_degree(self):
+        for g in (cycle_graph(7), cycle_graph(8), petersen(), _rook_3x3()):
+            self._check(g)
+        assert star_number(petersen()) == (3, (0, [1, 4, 5]))
+        assert star_number(_rook_3x3()) == (2, (0, [1, 3]))
+        assert directories(_rook_3x3())[:2] == [[0, 4, 8], [0, 5, 7]]
+
+    def test_sigma_attained_at_several_vertices(self):
+        # Every vertex of C6 and of K3 + K3 attains sigma, and a star's
+        # leaves tie below its centre; the least vertex, then the least set,
+        # is the witness.
+        k3k3 = disjoint_union(complete_graph(3), complete_graph(3))
+        late_star = Graph(7, [(6, v) for v in range(6)])
+        tied = disjoint_union(Graph(4, [(0, 1), (0, 2), (3, 1), (3, 2)]), late_star)
+        for g in (cycle_graph(6), k3k3, late_star, tied):
+            self._check(g)
+        assert star_number(cycle_graph(6)) == (2, (0, [1, 5]))
+        assert star_number(k3k3) == (1, (0, [1]))
+        assert star_number(late_star) == (6, (6, [0, 1, 2, 3, 4, 5]))
+        assert star_number(tied) == (6, (10, [4, 5, 6, 7, 8, 9]))
+
+    def test_degenerate_orders(self):
+        for n in (0, 1, 2, 5):
+            self._check(empty_graph(n))
+        for n in (1, 2, 5):
+            self._check(complete_graph(n))
+        assert independence_number(empty_graph(0)) == (0, [])
+        assert star_number(empty_graph(1)) == (0, (0, []))
+        assert independence_number(empty_graph(5)) == (5, [0, 1, 2, 3, 4])
+        assert star_number(complete_graph(5)) == (1, (0, [1]))
+
+    def test_random_relabellings_agree(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(2, 9), rng.choice((0.2, 0.5, 0.8)))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            self._check(g.relabel(perm))
+
+    def test_degree_order_cuts_the_directory_search(self, monkeypatch):
+        # directories colours 403 candidate sets on this graph; in natural
+        # vertex order, without the colour cut, it coloured 2,258.
+        g = random_graph(random.Random(1), 60, 0.1)
+        color_order = graph_module._color_order
+        calls = []
+        monkeypatch.setattr(
+            graph_module,
+            "_color_order",
+            lambda *args: calls.append(args) or color_order(*args),
+        )
+        assert len(directories(g)) == 15
+        assert len(calls) < 1000
+
+
 class TestAddress:
     def test_rs3_clique_vertex(self, rs3_m2):
         assert address(rs3_m2, [0, 1, 2], 3) == [1, 2]

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from homoglab import verify
+from homoglab import graphs as graph_module, verify
 from homoglab.errors import NotADirectoryBase, OrderTooLarge, StarNumberZero
 from homoglab.graphs import (
     complete_graph,
@@ -45,6 +45,17 @@ class TestDirectoryLemmas:
     def test_edgeless_rejected(self):
         with pytest.raises(StarNumberZero):
             verify_directory_lemmas(empty_graph(3), [0, 1, 2])
+
+    def test_sigma_is_read_without_a_witness(self, rs3_m2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the lemma suites only need sigma and alpha")
+
+        directory = independence_number(rs3_m2)[1]
+        monkeypatch.setattr(graph_module, "_lex_least_clique", refuse)
+        assert verify_directory_lemmas(rs3_m2, directory).passed
+        assert verify_neighbor_richness(rs3_m2, directory, 1).passed
+        assert find_triangle_dom2(rs3_m2, directory).triangle is not None
+        assert verify_alpha_bound_family([3, 4]).passed
 
     def test_quick_random_sample(self):
         report = verify_directory_lemmas_random(count=60, seed=7, max_order=24)
@@ -108,7 +119,7 @@ class TestLemmaOracle:
     def test_directory_lemmas_match_oracle(self, oracle_cases, monkeypatch):
         clauses = set()
         for g, base, sigma in oracle_cases:
-            monkeypatch.setattr(verify, "star_number", lambda g, s=sigma: (s, None))
+            monkeypatch.setattr(verify, "_sigma", lambda g, s=sigma: s)
             report = verify_directory_lemmas(g, base)
             assert (report.instances, report.failures) == brute_directory_lemmas(
                 g, base, sigma
@@ -129,7 +140,7 @@ class TestLemmaOracle:
     def test_richness_matches_oracle(self, oracle_cases, monkeypatch):
         shortfalls = 0
         for g, base, sigma in oracle_cases:
-            monkeypatch.setattr(verify, "star_number", lambda g, s=sigma: (s, None))
+            monkeypatch.setattr(verify, "_sigma", lambda g, s=sigma: s)
             report = verify_neighbor_richness(g, base, 2)
             assert (report.instances, report.failures) == brute_neighbor_richness(
                 g, base, sigma, 2
