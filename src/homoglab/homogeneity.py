@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import OrderTooLarge
-from .graphs import Graph, _common_mask, _induced_masks, _iter_bits
+from .graphs import Graph, _induced_masks, _iter_bits
 from .morphisms import (
     KINDS,
     MorphismConstraints,
@@ -135,6 +135,18 @@ class HomogReport:
 _CODE_LIMIT = 10
 
 
+def _cone_table(g: Graph, k: int) -> dict[int, int]:
+    """The common neighbours of every vertex set of at most k vertices,
+    keyed by the set's mask; the empty set's are all vertices.  Vertex v
+    extends each set already listed that has room, so no set is built
+    twice."""
+    cones = {0: (1 << g.n) - 1}
+    for v, row in enumerate(g.masks):
+        bit = 1 << v
+        cones.update([(s | bit, c & row) for s, c in cones.items() if s.bit_count() < k])
+    return cones
+
+
 def _scan_classes(g: Graph, k: int) -> list[dict]:
     """Group all induced subgraphs of size <= k by isomorphism type."""
     if k < 0:
@@ -143,6 +155,7 @@ def _scan_classes(g: Graph, k: int) -> list[dict]:
         raise OrderTooLarge(f"age size {k} exceeds order {g.n}")
     if k > _CODE_LIMIT:
         raise OrderTooLarge(f"age computation capped at size {_CODE_LIMIT}, got {k}")
+    cones = _cone_table(g, k)
     classes: dict[bytes, dict] = {}
     for size in range(1, k + 1):
         for comb in combinations(range(g.n), size):
@@ -159,7 +172,7 @@ def _scan_classes(g: Graph, k: int) -> list[dict]:
                 }
                 classes[code] = cls
             cls["embeddings"].append(comb)
-            cone_mask = _common_mask(g.masks, sum(1 << v for v in comb), g.n)
+            cone_mask = cones[sum(1 << v for v in comb)]
             if cone_mask:
                 if cls["coned"] is None:
                     cls["coned"] = (comb, next(_iter_bits(cone_mask)))
@@ -319,12 +332,8 @@ def _decide_hh_direct(g: Graph) -> HomogReport:
     least failing map is unchanged.  The full vertex set is coneless, so on
     K_n no map is walked.
     """
-    # cones[mask]: the common neighbours of the vertex set mask.
-    cones = [(1 << g.n) - 1] * (1 << g.n)
-    for mask in range(1, len(cones)):
-        low = mask & -mask
-        cones[mask] = cones[mask ^ low] & g.masks[low.bit_length() - 1]
-    smallest = min(mask.bit_count() for mask, cone in enumerate(cones) if not cone)
+    cones = _cone_table(g, g.n)
+    smallest = min(mask.bit_count() for mask, cone in cones.items() if not cone)
 
     for domain in _domains(g.n):
         if len(domain) < smallest:

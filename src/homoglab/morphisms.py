@@ -242,6 +242,9 @@ def extends_in(g: Graph, f: PartialMap, kind: str) -> list[int] | None:
 # vertices.
 _CODE_FORMAT_ORDER = 17
 
+# Above every column, so a node with this bound cuts no candidate.
+_LOOSE = 1 << 16
+
 
 def canonical_code(g: Graph, max_order: int = 10) -> bytes:
     """Complete isomorphism invariant: the minimum adjacency column string.
@@ -268,6 +271,24 @@ def _code(adj: tuple[int, ...]) -> bytes:
     The only memo in the package; its size is fixed, so a long run evicts
     the least recently used codes and recomputes them when asked again.
 
+    The search places one vertex per level.  Each node holds the columns of
+    the unplaced vertices against the placed prefix, grouped into cells
+    (column, member mask) in ascending column order.  Placing u appends
+    one bit to every column, so a cell with column c splits into its
+    non-neighbours of u (column 2c) and its neighbours (2c + 1), and the
+    cells stay in order with no sort; no column is rebuilt from the prefix.
+
+    Tight bound: a node's bound is best[k] while its prefix equals
+    best[:k], and _LOOSE while the prefix is below best or no best exists.
+    A child whose least column exceeds its bound is cut before the call.
+    Once a child returns, prefix + [col] is a prefix of best, either
+    because the child replaced best or because it was tight and best kept
+    col at k.  So the bound becomes col: the rest of the first cell is
+    tried with a tight child, and every later cell, with a larger column,
+    would be cut, so a node only tries the members of its first cell.
+    With two vertices unplaced, placing one forces the other, whose column
+    is compared in place and the leaf finished without a call.
+
     Twin pruning: u and w are twins when their neighbourhoods agree outside
     {u, w}.  Swapping them is an automorphism that fixes every other
     vertex, so while both are unplaced they get the same column, and the
@@ -278,59 +299,53 @@ def _code(adj: tuple[int, ...]) -> bytes:
     twins keep their full search.
     """
     n = len(adj)
-    twins = [
-        sum(
-            1 << w
-            for w in range(n)
-            if w != u and not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w)
-        )
-        for u in range(n)
-    ]
-    best: list[int] | None = None
-    perm: list[int] = []
+    if n < 2:
+        return bytes([n]) + bytes(2 * n)
+    twins = [0] * n
+    for u in range(n):
+        for w in range(u + 1, n):
+            if not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w):
+                twins[u] |= 1 << w
+                twins[w] |= 1 << u
+    best: list[int] = []
     prefix: list[int] = []
 
-    def prefix_beats_best(col: int) -> bool:
-        # True when prefix + [col] is lexicographically greater than best.
-        k = len(prefix)
-        for i in range(k):
-            if prefix[i] != best[i]:
-                return prefix[i] > best[i]
-        return col > best[k]
-
-    def dfs(used: int) -> None:
+    def dfs(cells: list[tuple[int, int]], bound: int) -> None:
         nonlocal best
-        k = len(perm)
-        if k == n:
-            if best is None or prefix < best:
-                best = prefix.copy()
-            return
-        cands = []
-        for u in range(n):
-            if used >> u & 1:
-                continue
-            col = 0
-            row = adj[u]
-            for p in perm:
-                col = col << 1 | (row >> p & 1)
-            cands.append((col, u))
-        cands.sort()
+        k = len(prefix)
+        col, members = cells[0]
+        last_step = k + 2 == n
         tried = 0
-        for col, u in cands:
-            if best is not None and prefix_beats_best(col):
-                break
+        while members:
+            bit = members & -members
+            members ^= bit
+            u = bit.bit_length() - 1
             if twins[u] & tried:
                 continue
-            tried |= 1 << u
-            perm.append(u)
-            prefix.append(col)
-            dfs(used | 1 << u)
-            perm.pop()
-            prefix.pop()
+            tried |= bit
+            row = adj[u]
+            keep = ~(row | bit)  # non-neighbours of u, u itself left out
+            rest = []
+            for c, m in cells:
+                c <<= 1
+                if m & keep:
+                    rest.append((c, m & keep))
+                if m & row:
+                    rest.append((c | 1, m & row))
+            if last_step:
+                last = rest[0][0]
+                if col < bound or last < best[k + 1]:
+                    best = prefix + [col, last]
+            else:
+                child_bound = best[k + 1] if col == bound else _LOOSE
+                if rest[0][0] <= child_bound:
+                    prefix.append(col)
+                    dfs(rest, child_bound)
+                    prefix.pop()
+            bound = col
 
-    dfs(0)
-    cols = best if best is not None else []
-    return bytes([n]) + b"".join(c.to_bytes(2, "big") for c in cols)
+    dfs([(0, (1 << n) - 1)], _LOOSE)
+    return bytes([n]) + b"".join(c.to_bytes(2, "big") for c in best)
 
 
 # --- exhaustive enumeration up to isomorphism ------------------------------

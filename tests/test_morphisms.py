@@ -1,5 +1,6 @@
 """Morphism search, endomorphism extension, canonical codes, enumeration."""
 
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -35,6 +36,7 @@ from conftest import (
     brute_min_code,
     clique_union,
     graph_from_bits,
+    petersen,
     reference_min_column_code,
 )
 
@@ -52,6 +54,12 @@ _CONSTRAINT_SETS = (
     MorphismConstraints(surjective=True),
     MorphismConstraints(injective=True, surjective=True, respect_nonedges=True),
 )
+
+
+# Recorded from the search before it gained incremental columns;
+# conftest.reference_min_column_code in place of canonical_code gives the
+# same digest.  See test_codes_match_the_recorded_digest.
+_RECORDED_CODE_DIGEST = "1bd6a84e87bc89728a62bc2b1cd4a564b6eae8b840fa4d5d00e1b76364274814"
 
 
 def _brute_least_map(a, b, seed_pairs, c):
@@ -79,6 +87,28 @@ def _shuffled(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabel(perm)
+
+
+def _has_twins(g):
+    return any(
+        not (g.masks[u] ^ g.masks[w]) & ~(1 << u | 1 << w)
+        for u, w in combinations(range(g.n), 2)
+    )
+
+
+def _first_leaf(g):
+    """Code of the first leaf of the column-string search: at every level
+    the unplaced vertex with the least column, ties to the least label."""
+    placed, cols, rest = [], [], set(range(g.n))
+    while rest:
+        col, u = min(
+            (sum(g.has_edge(p, w) << i for i, p in enumerate(reversed(placed))), w)
+            for w in rest
+        )
+        placed.append(u)
+        cols.append(col)
+        rest.remove(u)
+    return bytes([g.n]) + b"".join(c.to_bytes(2, "big") for c in cols)
 
 
 def _partitions(n, largest=None):
@@ -293,6 +323,63 @@ class TestCanonicalCode:
                 for _ in range(3):
                     g = random_graph(rng, n, p)
                     assert canonical_code(g) == reference_min_column_code(g), g.masks
+
+    def test_matches_reference_on_twinless_sparse_graphs(self):
+        # Without twins every candidate is searched, and on these graphs
+        # the first leaf (the least column and vertex at every level) is
+        # not the minimum, so a later leaf replaces best and the nodes
+        # above it compare their remaining candidates with the new best.
+        rng = random.Random(4107)
+        sample = []
+        for n in range(8, 11):
+            sample += [path_graph(n), cycle_graph(n)] * 3
+            drawn = []
+            while len(drawn) < 4:
+                g = random_graph(rng, n, 0.2)
+                if not _has_twins(g):
+                    drawn.append(g)
+            sample += drawn
+        for g in sample:
+            h = _shuffled(g, rng)
+            code = canonical_code(h)
+            assert code == reference_min_column_code(h), g.masks
+            assert code != _first_leaf(h), g.masks
+
+    def test_orders_0_1_2(self):
+        assert canonical_code(empty_graph(0)) == bytes([0])
+        assert canonical_code(empty_graph(1)) == bytes([1, 0, 0])
+        assert canonical_code(empty_graph(2)) == bytes([2, 0, 0, 0, 0])
+        assert canonical_code(complete_graph(2)) == bytes([2, 0, 0, 0, 1])
+        for g in (empty_graph(0), empty_graph(1), empty_graph(2), complete_graph(2)):
+            assert canonical_code(g) == reference_min_column_code(g)
+
+    def test_codes_match_the_recorded_digest(self):
+        # One SHA-256 over the code of every class of order 1-7, in
+        # enumeration order, and of the twelve symmetric graphs of order
+        # 8-10 that the benchmark's census ends with, so any change to a
+        # code byte or to the enumeration order shows here.
+        tail = [
+            complete_graph(8),
+            empty_graph(8),
+            clique_union((4, 4)),
+            clique_union((2, 2, 2, 2)),
+            lex_product(complete_graph(4), empty_graph(2)),
+            lex_product(cycle_graph(4), complete_graph(2)),
+            cycle_graph(8),
+            petersen(),
+            lex_product(cycle_graph(5), complete_graph(2)),
+            Graph(9, [(u, v) for u, v in combinations(range(9), 2)
+                      if u // 3 == v // 3 or u % 3 == v % 3]),
+            clique_union((3, 3, 3)),
+            lex_product(complete_graph(3), empty_graph(3)),
+        ]
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                digest.update(canonical_code(g))
+        for g in tail:
+            digest.update(canonical_code(g))
+        assert digest.hexdigest() == _RECORDED_CODE_DIGEST
 
     def test_closed_forms_at_order_17(self):
         # The plain search walks 17! orderings on I17 and K17; the twin

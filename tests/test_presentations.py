@@ -22,6 +22,7 @@ from homoglab.graphs import (
 from homoglab.morphisms import canonical_code
 from homoglab.presentations import (
     Presentation,
+    WitnessResult,
     check_property_bounded,
     classify_mb,
     extension_witness,
@@ -319,6 +320,32 @@ def _sided_pairs(window: int, max_support: int):
                 )
 
 
+def _adjacency_columns(p: Presentation, window: int, top: int) -> list[int]:
+    """For each x < window, the mask of the vertices v <= top with
+    p.adjacent(v, x): one oracle call per (v, x)."""
+    return [
+        int("".join("1" if p.adjacent(v, x) else "0" for v in range(top, -1, -1)), 2)
+        for x in range(window)
+    ]
+
+
+def _column_witness(p, columns, a, b, budget) -> WitnessResult:
+    """extension_witness(p, a, b, budget) read from adjacency columns: the
+    least v <= budget outside A u B whose bit is set in the column of every
+    member of A and of no member of B."""
+    cert = p.refute(sorted(a), sorted(b))
+    if cert is not None:
+        return WitnessResult("proven_absent", certificate=cert)
+    cand = (1 << budget + 1) - 1
+    for x in a:
+        cand &= columns[x] & ~(1 << x)
+    for y in b:
+        cand &= ~(columns[y] | 1 << y)
+    if not cand:
+        return WitnessResult("exhausted")
+    return WitnessResult("found", vertex=(cand & -cand).bit_length() - 1)
+
+
 class TestClosedFormHooks:
     """Hooks answer exactly as the oracle scan of the same presentation."""
 
@@ -338,14 +365,23 @@ class TestClosedFormHooks:
 
     @pytest.mark.parametrize("spec", ["rado_bit", "complement_of:rado_bit"])
     def test_witnesses_match_the_oracle(self, spec):
+        # At budgets 20 and 5 the hook is compared with the oracle-only
+        # scan.  At 1 << 16 that scan costs 10-20 s per spec, so there
+        # the reference reads each least witness from the adjacency columns
+        # of the 12 window vertices, built once from the same oracle; the
+        # small budgets check that reference against the scan as well.
         p = parse_spec(spec)
         assert p._least_witness is not None
         oracle = _oracle_only(p)
+        columns = _adjacency_columns(oracle, 12, 1 << 16)
         for a, b in _sided_pairs(12, 4):
-            for budget in (1 << 16, 20, 5):
-                assert extension_witness(p, a, b, budget) == extension_witness(
-                    oracle, a, b, budget
-                ), (a, b, budget)
+            assert extension_witness(p, a, b, 1 << 16) == _column_witness(
+                oracle, columns, a, b, 1 << 16
+            ), (a, b)
+            for budget in (20, 5):
+                scan = extension_witness(oracle, a, b, budget)
+                assert extension_witness(p, a, b, budget) == scan, (a, b, budget)
+                assert _column_witness(oracle, columns, a, b, budget) == scan, (a, b, budget)
 
     @pytest.mark.parametrize("spec", ["rado_bit", "complement_of:rado_bit"])
     def test_far_vertices_and_small_budgets_match_the_oracle(self, spec):
