@@ -9,7 +9,10 @@ directories (independent dominating sets of maximum size), addresses,
 exact neighbourhoods and domination numbers relative to a directory.
 
 All functions are pure and all returned vertex sets are sorted lists, with
-ties broken toward the lexicographically least witness.
+ties broken toward the lexicographically least witness.  A graph value
+keeps a private memo of alpha and sigma, filled by the first call that
+searches for either; it depends only on the graph, and equality, hashing
+and repr ignore it.
 """
 
 from __future__ import annotations
@@ -131,10 +134,26 @@ def _masks_valid_packed(masks: tuple[int, ...]) -> bool:
     return _transpose_packed(m, size) == m
 
 
-class Graph:
-    """An immutable simple graph: symmetric irreflexive adjacency on 0..n-1."""
+class _Profile:
+    """alpha and the (sigma, least vertex) pair of one graph, each None
+    until a search finds it.  The values depend only on the graph, so
+    threads that race on a profile can only repeat a search."""
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("alpha", "star")
+
+    def __init__(self) -> None:
+        self.alpha: int | None = None
+        self.star: tuple[int, int] | None = None
+
+
+class Graph:
+    """An immutable simple graph: symmetric irreflexive adjacency on 0..n-1.
+
+    _profile memoises alpha and sigma (see _Profile); it is None until the
+    first search and takes no part in equality, hashing or repr.
+    """
+
+    __slots__ = ("n", "_adj", "_profile")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -149,6 +168,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
+        self._profile = None
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "Graph":
@@ -166,6 +186,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g._adj = masks
+        g._profile = None
         return g
 
     @property
@@ -315,19 +336,27 @@ def cone_set(g: Graph, x: Iterable[int], polarity: str = "cone") -> list[int]:
     raise ValueError(f"polarity must be 'cone' or 'cocone', got {polarity!r}")
 
 
+def _components(g: Graph) -> Iterator[int]:
+    """The vertex masks of the connected components, by least vertex."""
+    masks = g.masks
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            grow = 0
+            for v in _iter_bits(frontier):
+                grow |= masks[v]
+            frontier = grow & ~comp
+            comp |= grow
+        yield comp
+        rest &= ~comp
+
+
 def is_connected(g: Graph) -> bool:
     """Breadth-first reachability check; vacuously true for order <= 1."""
     if g.n <= 1:
         return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        for v in _iter_bits(frontier):
-            grow |= g.masks[v]
-        frontier = grow & ~seen
-        seen |= grow
-    return seen == (1 << g.n) - 1
+    return next(_components(g)) == (1 << g.n) - 1
 
 
 # --- exact independence machinery -----------------------------------------
@@ -339,8 +368,9 @@ def is_connected(g: Graph) -> bool:
 #
 # * _max_clique_size finds the clique number by branch and bound.
 # * _cliques lists the cliques of a known size.  The alpha and sigma
-#   witnesses ask it for one completion of each lexicographic choice, and
-#   directories asks it for every clique of size alpha.
+#   witnesses ask it for one completion of each lexicographic choice that
+#   no earlier completion already covers, and directories asks it for
+#   every clique of size alpha.
 #
 # The optimiser stays separate: asking _cliques for one clique at each
 # size in turn found the clique number about three times more slowly on
@@ -357,6 +387,13 @@ def is_connected(g: Graph) -> bool:
 # Every vertex set a public call returns is mapped back through order, and
 # the lexicographic witnesses walk candidates by original label, so results
 # do not depend on the relabelling.
+#
+# Each public call builds the view afresh; only the numbers it yields,
+# alpha and the (sigma, least vertex) pair, are kept in the graph's
+# _profile, so no graph searches for either twice.  The view is not kept:
+# on an order-36 graph it holds about 2.3 KB for as long as the graph
+# lives, which a caller holding many graphs pays for in memory, while a
+# rebuild costs tens of microseconds.
 
 
 def _complement_view(g: Graph) -> tuple[tuple[int, ...], list[int], list[int]]:
@@ -473,6 +510,10 @@ def _lex_least_clique(
 
     adj and cand are in the bits of _complement_view (order and pos map
     between its bits and the labels); the clique is returned as labels.
+
+    A probe that succeeds returns a completion, which is kept: it is a
+    clique of need vertices within cand, so when the walk reaches its least
+    label that label is taken unprobed, and only lesser labels are probed.
     """
     above = [0] * len(pos)  # above[v]: the view bits of the labels above v
     acc = 0
@@ -480,27 +521,64 @@ def _lex_least_clique(
         above[v] = acc
         acc |= 1 << pos[v]
     chosen: list[int] = []
+    known: list[int] = []  # sorted labels of a clique of need vertices in cand
     need = size
     while need:
         for v in sorted(order[i] for i in _iter_bits(cand)):
-            i = pos[v]
-            rest = cand & adj[i] & above[v]
-            if _cliques(adj, rest, need - 1, 1):
-                chosen.append(v)
-                cand = rest
-                need -= 1
+            rest = cand & adj[pos[v]] & above[v]
+            if known and known[0] == v:
+                del known[0]
+                break
+            found = _cliques(adj, rest, need - 1, 1)
+            if found:
+                known = sorted(order[i] for i in found[0])
                 break
         else:
             raise InternalInvariant("witness extraction lost feasibility")
+        chosen.append(v)
+        cand = rest
+        need -= 1
     return chosen
+
+
+def _profile(g: Graph) -> _Profile:
+    profile = g._profile
+    if profile is None:
+        profile = g._profile = _Profile()
+    return profile
+
+
+def _alpha(g: Graph, co: tuple[int, ...] | None = None) -> int:
+    """alpha(g) without a witness, searched once per graph; co is g's
+    complement view when the caller has built it."""
+    profile = _profile(g)
+    if profile.alpha is None:
+        if co is None:
+            co = _complement_view(g)[0]
+        profile.alpha = _max_clique_size(co, (1 << g.n) - 1)
+    return profile.alpha
+
+
+def _star(g: Graph, view: tuple | None = None) -> tuple[int, int]:
+    """sigma(g) and the least vertex attaining it, searched once per graph;
+    view is g's complement view when the caller has built it."""
+    profile = _profile(g)
+    if profile.star is None:
+        co, _, pos = view or _complement_view(g)
+        profile.star = _star_vertex(co, pos)
+    return profile.star
+
+
+def _sigma(g: Graph) -> int:
+    """sigma(g) without a witness."""
+    return _star(g)[0]
 
 
 def independence_number(g: Graph) -> tuple[int, list[int]]:
     """Exact alpha(g) with its lexicographically least witness set."""
     co, order, pos = _complement_view(g)
-    full = (1 << g.n) - 1
-    alpha = _max_clique_size(co, full)
-    return alpha, _lex_least_clique(co, order, pos, full, alpha)
+    alpha = _alpha(g, co)
+    return alpha, _lex_least_clique(co, order, pos, (1 << g.n) - 1, alpha)
 
 
 def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
@@ -512,8 +590,8 @@ def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
     """
     if g.n == 0:
         return 0, None
-    co, order, pos = _complement_view(g)
-    best, v = _star_vertex(co, pos)
+    view = co, order, pos = _complement_view(g)
+    best, v = _star(g, view)
     i = pos[v]
     nbhd = ((1 << g.n) - 1) ^ co[i] ^ (1 << i)
     return best, (v, _lex_least_clique(co, order, pos, nbhd, best))
@@ -534,18 +612,6 @@ def _star_vertex(co: tuple[int, ...], pos: list[int]) -> tuple[int, int]:
     return best, best_v
 
 
-def _alpha(g: Graph) -> int:
-    """alpha(g) without a witness."""
-    co, _, _ = _complement_view(g)
-    return _max_clique_size(co, (1 << g.n) - 1)
-
-
-def _sigma(g: Graph) -> int:
-    """sigma(g) without a witness."""
-    co, _, pos = _complement_view(g)
-    return _star_vertex(co, pos)[0]
-
-
 def directories(g: Graph) -> list[list[int]]:
     """All independent dominating sets of size alpha(g), in lexicographic order.
 
@@ -557,9 +623,8 @@ def directories(g: Graph) -> list[list[int]]:
     if not any(g.masks):
         raise StarNumberZero("directories are undefined for edgeless graphs")
     co, order, _ = _complement_view(g)
-    full = (1 << g.n) - 1
-    alpha = _max_clique_size(co, full)
-    return sorted(sorted(order[i] for i in c) for c in _cliques(co, full, alpha))
+    cliques = _cliques(co, (1 << g.n) - 1, _alpha(g, co))
+    return sorted(sorted(order[i] for i in c) for c in cliques)
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:

@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .errors import BadParams, BudgetExhausted
-from .graphs import Graph, _iter_bits, _tile, complement as graph_complement
+from .graphs import Graph, _components, _iter_bits, _tile, complement as graph_complement
 
 __all__ = [
     "Presentation",
@@ -852,32 +852,18 @@ def _clique_components(g: Graph) -> tuple[bool, int, int, list[int]] | None:
     """(all components cliques, count, max size, per-vertex component size)."""
     if g.n == 0:
         return None
-    seen = 0
     count = 0
     max_size = 0
     all_cliques = True
     sizes = [0] * g.n
-    full = (1 << g.n) - 1
-    while seen != full:
-        start = (~seen & full) & -(~seen & full)
-        comp = start
-        frontier = start
-        while frontier:
-            grow = 0
-            for v in range(g.n):
-                if frontier >> v & 1:
-                    grow |= g.masks[v]
-            frontier = grow & ~comp
-            comp |= grow
+    for comp in _components(g):
         size = comp.bit_count()
         count += 1
         max_size = max(max_size, size)
-        for v in range(g.n):
-            if comp >> v & 1:
-                sizes[v] = size
-                if (g.masks[v] & comp).bit_count() != size - 1:
-                    all_cliques = False
-        seen |= comp
+        for v in _iter_bits(comp):
+            sizes[v] = size
+            if (g.masks[v] & comp).bit_count() != size - 1:
+                all_cliques = False
     return all_cliques, count, max_size, sizes
 
 

@@ -131,6 +131,23 @@ def graph_from_bits(n: int, bits: int) -> Graph:
     return Graph(n, (p for i, p in enumerate(pairs) if bits >> i & 1))
 
 
+def brute_components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the components by least vertex, by repeated
+    neighbourhood closure."""
+    left = set(range(g.n))
+    out = []
+    while left:
+        comp = {min(left)}
+        while True:
+            grown = comp | {u for v in comp for u in g.neighbors(v)}
+            if grown == comp:
+                break
+            comp = grown
+        out.append(sorted(comp))
+        left -= comp
+    return out
+
+
 def all_total_homomorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every total endomorphism by direct enumeration (oracle use only)."""
     out = []

@@ -1,8 +1,10 @@
 """Core graph operations: construction, products, neighbourhoods, and the
 independence machinery with its directory-based quantities."""
 
+import hashlib
+import json
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from homoglab.graphs import (
     is_connected,
     is_directory,
     is_independent_dominating,
+    is_independent,
     lex_product,
     path_graph,
     star_number,
@@ -37,6 +40,7 @@ from homoglab.verify import random_graph
 
 from conftest import (
     brute_alpha,
+    brute_components,
     brute_independent_dominating_of_size,
     brute_max_clique,
     graph_from_bits,
@@ -608,3 +612,154 @@ class TestAnalyze:
         g = disjoint_union(complete_graph(2), complete_graph(2))
         assert not analyze(g).is_connected
         assert is_connected(complete_graph(1))
+
+
+class TestComponents:
+    @given(graphs(max_n=9))
+    @settings(max_examples=80)
+    def test_matches_closure(self, g):
+        comps = [graph_module._list_of(c) for c in graph_module._components(g)]
+        assert comps == brute_components(g)
+        assert is_connected(g) == (len(comps) <= 1)
+
+    def test_interleaved_labels(self):
+        g = disjoint_union(cycle_graph(5), path_graph(4)).relabel([0, 2, 4, 6, 8, 1, 3, 5, 7])
+        comps = [graph_module._list_of(c) for c in graph_module._components(g)]
+        assert comps == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
+        assert not is_connected(g)
+        assert list(graph_module._components(empty_graph(0))) == []
+
+
+def _count_calls(monkeypatch, name, keep=lambda *args: True):
+    """Wrap graphs.<name> and return the list of its recorded argument
+    tuples (only those that keep accepts)."""
+    inner = getattr(graph_module, name)
+    calls = []
+
+    def wrapper(*args):
+        if keep(*args):
+            calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(graph_module, name, wrapper)
+    return calls
+
+
+_CALLS = ("alpha", "sigma", "dirs", "analyze")
+
+
+def _run_calls(g, order):
+    """The results of the public calls named in _CALLS, made on g in the
+    given order and returned in the order of _CALLS."""
+    calls = {
+        "alpha": lambda: independence_number(g),
+        "sigma": lambda: star_number(g),
+        "dirs": lambda: directories(g) if g.edge_count() else None,
+        "analyze": lambda: analyze(g).to_dict(),
+    }
+    out = {name: calls[name]() for name in order}
+    return [out[name] for name in _CALLS]
+
+
+class TestProfile:
+    """alpha and sigma are searched once per graph value and kept in its
+    private profile; results never depend on whether it is filled."""
+
+    def test_directories_reuse_alpha(self, monkeypatch):
+        g = random_graph(random.Random(5), 30, 0.2)
+        full = (1 << g.n) - 1
+        alpha, witness = independence_number(g)
+        calls = _count_calls(monkeypatch, "_max_clique_size", lambda adj, cand, *r: cand == full)
+        dirs = directories(g)
+        assert dirs[0] == witness and len(dirs[0]) == alpha
+        assert is_directory(g, witness)
+        assert analyze(g).independence_number == alpha
+        assert calls == []
+
+    def test_star_number_searches_once(self, monkeypatch):
+        g = random_graph(random.Random(6), 30, 0.2)
+        first = star_number(g)
+        calls = _count_calls(monkeypatch, "_star_vertex")
+        assert star_number(g) == first
+        assert graph_module._sigma(g) == first[0]
+        alpha, witness = independence_number(g)
+        assert is_directory(g, witness, relaxed=True) == (alpha >= 2 * first[0] - 1)
+        assert calls == []
+
+    def test_witness_probes_reuse_their_completions(self, monkeypatch):
+        # Each probe that succeeds yields a completion, whose least label
+        # the next level takes unprobed: 14 calls here, 37 when every
+        # candidate was probed.
+        g = random_graph(random.Random(1), 60, 0.1)
+        calls = _count_calls(monkeypatch, "_cliques")
+        alpha, witness = independence_number(g)
+        assert len(calls) < 25
+        assert alpha == len(witness) and is_independent(g, witness)
+
+    def test_new_graphs_start_cold(self):
+        g = random_graph(random.Random(2), 12, 0.3)
+        assert g._profile is None
+        independence_number(g)
+        star_number(g)
+        assert g._profile.alpha is not None and g._profile.star is not None
+        made = [
+            g.relabel(list(range(g.n))),
+            complement(g),
+            induced_subgraph(g, range(g.n))[0],
+            Graph.from_masks(g.masks),
+            Graph(g.n, g.edges()),
+        ]
+        for h in made:
+            assert h == g or h == complement(g)
+            assert h._profile is None
+
+    def test_warm_equals_cold(self):
+        g = random_graph(random.Random(3), 15, 0.3)
+        cold = Graph(g.n, g.edges())
+        analyze(g)
+        assert g._profile is not None and cold._profile is None
+        assert g == cold and hash(g) == hash(cold) and repr(g) == repr(cold)
+        assert len({g, cold}) == 1
+
+    def test_every_call_order_matches_the_oracles(self):
+        rng = random.Random(41)
+        for _ in range(8):
+            g = random_graph(rng, rng.randint(0, 8), rng.choice((0.2, 0.5, 0.8)))
+            alpha, sigma, dirs = _brute_results(g)
+            if not g.edge_count():
+                dirs = None
+            for order in permutations(_CALLS):
+                h = Graph(g.n, g.edges())
+                for _ in range(2):  # cold, then warm
+                    got_alpha, got_sigma, got_dirs, report = _run_calls(h, order)
+                    assert got_alpha == alpha
+                    assert got_sigma == sigma
+                    assert got_dirs == dirs
+                    assert report["independence_number"] == alpha[0]
+                    assert report["alpha_witness"] == alpha[1]
+                    assert report["star_number"] == sigma[0]
+                    assert report["directories"] == (dirs or [])
+                assert is_directory(h, alpha[1]) == bool(dirs)
+
+
+# SHA-256 of alpha, sigma and directories with their witnesses and the
+# analyze report, recorded before the profile memo and the reuse of probe
+# completions existed.  Any change to a result or its witness shows here,
+# whether the graph's profile is cold or warm.
+_RECORDED_PROFILE_DIGEST = "06aed563b8012a8db8d03b6a423d6a8d1b23781d81a335fa63cb91d2b42d7c29"
+
+
+class TestIdentityPin:
+    def test_results_are_byte_identical_cold_and_warm(self):
+        rng = random.Random(20261018)
+        gs = [
+            random_graph(rng, rng.randint(2, 40), p)
+            for _ in range(100)
+            for p in (0.1, 0.2, 0.5)
+        ]
+        for order in (_CALLS, _CALLS[::-1]):  # fresh graphs, then warm ones
+            digest = hashlib.sha256()
+            for g in gs:
+                record = _run_calls(g, order)
+                digest.update(json.dumps(record, separators=(",", ":")).encode())
+            assert digest.hexdigest() == _RECORDED_PROFILE_DIGEST

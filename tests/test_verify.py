@@ -57,6 +57,25 @@ class TestDirectoryLemmas:
         assert find_triangle_dom2(rs3_m2, directory).triangle is not None
         assert verify_alpha_bound_family([3, 4]).passed
 
+    def test_sigma_is_read_from_the_profile(self, monkeypatch):
+        # star_number keeps sigma in the graph's profile, so the suite
+        # finds it there instead of searching every neighbourhood again.
+        g = random_graph(random.Random(12), 24, 0.3)
+        sigma, _ = star_number(g)
+        directory = independence_number(g)[1]
+        calls = []
+        star_vertex = graph_module._star_vertex
+        monkeypatch.setattr(
+            graph_module,
+            "_star_vertex",
+            lambda *args: calls.append(args) or star_vertex(*args),
+        )
+        report = verify_directory_lemmas(g, directory)
+        assert report.passed
+        assert calls == []
+        verify_neighbor_richness(g, directory, 1)
+        assert calls == []
+
     def test_quick_random_sample(self):
         report = verify_directory_lemmas_random(count=60, seed=7, max_order=24)
         assert report.passed
