@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil
+from math import ceil, comb
 
 from .errors import OrderTooLarge, StarNumberZero
 from .graphs import (
@@ -46,6 +46,10 @@ __all__ = [
 
 DEFAULT_SEED = 20250809
 EDGE_PROBABILITIES = (0.2, 0.5, 0.8)
+# One G(100, 0.2) sample with its directory and lemma checks takes about
+# 0.05-0.15 s, G(150, 0.2) 2-3 s; past the cap the campaign's cost grows
+# with no bound a caller can see.
+_MAX_RANDOM_ORDER = 100
 
 
 @dataclass
@@ -115,8 +119,10 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
        equals the common neighbourhood of S.  Only sets with nonempty
        common neighbourhood can differ, so those are enumerated.
     2. No edge joins the exact neighbourhoods of disjoint sigma-sized
-       subsets.  An offending edge determines the pair (S, T), so scanning
-       edges covers all pairs.
+       subsets.  An offending edge determines the pair (S, T), so every
+       edge is an instance; it can fail only with both ends
+       sigma-addressed (outside the index set, sigma neighbours in it), so
+       only the edges inside that pool are scanned.
     3. Cones over sets containing a sigma-addressed vertex x intersect the
        address of x; a cone z over a set of sigma-addressed vertices has
        its address meet the address union of X in a set dominating X.  The
@@ -130,18 +136,29 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
        the neighbourhood.  The meet lies in the index set and holds the
        meet of the addresses of x and z, so it dominates x exactly when 3a
        holds for (x, z): the 3b failures are read off the 3a ones.
+
+    Clauses 2 and 3 count their instances without visiting them.  Clause 2
+    has one per edge.  Clause 3a has one per neighbour of x, and an address
+    meets that of x exactly when its vertex is, or is adjacent to, a member
+    of x's address (an index vertex's address is itself), so the failing
+    neighbours are those outside the closed neighbourhoods of that address.
+    Clause 3b has one per pair (X, z) with X a subset of N(z) in the pool of
+    1 to 4 members: comb(d, 1) + ... + comb(d, 4) for each vertex z with d
+    pool neighbours.  It fails only on a cone over a vertex with a 3a
+    failure, so the subsets are walked only when there is one.
     """
     start = time.perf_counter()
     imask = _require_base(g, i)
     sigma = _sigma(g)
     if sigma < 1:
         raise StarNumberZero("directory lemmas need star number at least 1")
+    masks = g.masks
     failures: list[dict] = []
     checked = 0
     addr_mask, exact = _address_table(g, imask)
 
     # Clause 1: exact neighbourhood of sigma-sized S equals N(S).
-    for subset, cone in _coned_subsets(g.masks, _list_of(imask), sigma):
+    for subset, cone in _coned_subsets(masks, _list_of(imask), sigma):
         if len(subset) < sigma:
             continue
         checked += 1
@@ -156,68 +173,70 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
                 }
             )
 
-    # Clause 2: edges never join exact neighbourhoods of disjoint sigma-sets.
-    for u, v in g.edges():
-        checked += 1
-        su = addr_mask[u]
-        sv = addr_mask[v]
-        if (
-            not imask >> u & 1
-            and not imask >> v & 1
-            and su.bit_count() == sigma
-            and sv.bit_count() == sigma
-            and not su & sv
-        ):
-            failures.append(
-                {
-                    "clause": "disjoint-exact-neighbourhoods-no-edges",
-                    "edge": [u, v],
-                    "subset_s": _list_of(su),
-                    "subset_t": _list_of(sv),
-                }
-            )
-
-    # Clause 3a: cones over sigma-addressed vertices intersect their address.
-    # stray[x] keeps the neighbours whose address misses that of x.
     sigma_addressed = [
         v
         for v in range(g.n)
         if not imask >> v & 1 and addr_mask[v].bit_count() == sigma
     ]
-    stray = [0] * g.n
-    for x in sigma_addressed:
-        for z in _iter_bits(g.masks[x]):
-            checked += 1
-            if not addr_mask[z] & addr_mask[x]:
-                stray[x] |= 1 << z
+    pool = sum(1 << v for v in sigma_addressed)
+
+    # Clause 2: edges never join exact neighbourhoods of disjoint sigma-sets.
+    checked += g.edge_count()
+    for u in sigma_addressed:
+        su = addr_mask[u]
+        for v in _iter_bits(masks[u] & pool >> (u + 1) << (u + 1)):
+            sv = addr_mask[v]
+            if not su & sv:
                 failures.append(
                     {
-                        "clause": "cone-address-intersects",
-                        "vertex": x,
-                        "cone": z,
-                        "address_x": _list_of(addr_mask[x]),
-                        "address_z": _list_of(addr_mask[z]),
+                        "clause": "disjoint-exact-neighbourhoods-no-edges",
+                        "edge": [u, v],
+                        "subset_s": _list_of(su),
+                        "subset_t": _list_of(sv),
                     }
                 )
 
-    # Clause 3b: for X of sigma-addressed vertices, the meet of the cone's
-    # address with the address union of X dominates X.
-    for xs, cone in _coned_subsets(g.masks, sigma_addressed, 4):
-        checked += cone.bit_count()
-        strays = union = 0
-        for x in xs:
-            strays |= stray[x]
-            union |= addr_mask[x]
-        for z in _iter_bits(cone & strays):
+    # Clause 3a: cones over sigma-addressed vertices intersect their address.
+    # stray[x] keeps the neighbours whose address misses that of x.
+    stray = [0] * g.n
+    for x in sigma_addressed:
+        checked += masks[x].bit_count()
+        meets = 0
+        for a in _iter_bits(addr_mask[x]):
+            meets |= masks[a] | 1 << a
+        stray[x] = masks[x] & ~meets
+        for z in _iter_bits(stray[x]):
             failures.append(
                 {
-                    "clause": "cone-address-dominates",
-                    "x_set": list(xs),
+                    "clause": "cone-address-intersects",
+                    "vertex": x,
                     "cone": z,
-                    "meet": _list_of(addr_mask[z] & union),
-                    "undominated": [x for x in xs if stray[x] >> z & 1],
+                    "address_x": _list_of(addr_mask[x]),
+                    "address_z": _list_of(addr_mask[z]),
                 }
             )
+
+    # Clause 3b: for X of sigma-addressed vertices, the meet of the cone's
+    # address with the address union of X dominates X.
+    for m in masks:
+        d = (m & pool).bit_count()
+        checked += comb(d, 1) + comb(d, 2) + comb(d, 3) + comb(d, 4)
+    if any(stray):
+        for xs, cone in _coned_subsets(masks, sigma_addressed, 4):
+            strays = union = 0
+            for x in xs:
+                strays |= stray[x]
+                union |= addr_mask[x]
+            for z in _iter_bits(cone & strays):
+                failures.append(
+                    {
+                        "clause": "cone-address-dominates",
+                        "x_set": list(xs),
+                        "cone": z,
+                        "meet": _list_of(addr_mask[z] & union),
+                        "undominated": [x for x in xs if stray[x] >> z & 1],
+                    }
+                )
 
     return SuiteReport(
         suite="directory-lemmas",
@@ -245,12 +264,15 @@ def verify_directory_lemmas_random(
 
     Every graph with at least one edge admits a directory: the least
     maximum independent set is independent, maximal, hence dominating.
-    Edgeless samples are redrawn.
+    Edgeless samples are redrawn.  A max_order above 100 raises ValueError
+    before any sampling.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if max_order < max(min_order, 2):
         raise ValueError(f"max_order {max_order} is below min_order {min_order} or below 2")
+    if max_order > _MAX_RANDOM_ORDER:
+        raise ValueError(f"max_order {max_order} exceeds the cap of {_MAX_RANDOM_ORDER}")
     if not any(p > 0 for p in edge_probs) or not all(0 <= p <= 1 for p in edge_probs):
         raise ValueError(
             f"edge_probs must lie in [0, 1] with one above 0, got {edge_probs!r}"
@@ -303,11 +325,14 @@ def verify_neighbor_richness(g: Graph, i, threshold: int) -> SuiteReport:
     failures = []
     checked = 0
     for smask in subsets:
+        s_members = exact.get(smask, 0)
+        if not s_members:
+            continue
         for tmask in subsets:
             if not smask & tmask:
                 continue
             t_members = exact.get(tmask, 0)
-            for v in _iter_bits(exact.get(smask, 0)):
+            for v in _iter_bits(s_members):
                 checked += 1
                 got = (g.masks[v] & t_members).bit_count()
                 if got < threshold:

@@ -324,6 +324,14 @@ class TestVerify:
         assert captured.out == ""
         assert name in captured.err
 
+    def test_random_order_beyond_cap_rejected(self, capsys):
+        argv = ["verify", "directory-lemmas", "--random", "--count", "1"]
+        assert run([*argv, "--max-order", "101"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_order" in captured.err
+        assert run([*argv, "--max-order", str(10**9)]) == 2
+
     def test_cross_validate_beyond_cap_rejected(self, capsys):
         assert run(["verify", "cross-validate", "--n-max", "9"]) == 2
         assert capsys.readouterr().out == ""

@@ -134,6 +134,21 @@ def oracle_cases():
     return cases
 
 
+@pytest.fixture(scope="module")
+def dense_oracle_cases():
+    """Dense graphs of order 13-18, the regime where the sigma-addressed
+    pool holds about 10 vertices and 3b's instances are mostly sets of 3
+    and 4, each with the true star number and one off either side."""
+    rng = random.Random(8585)
+    cases = []
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(13, 18), 0.85)
+        base = random_maximal_independent(rng, g)
+        sigma, _ = star_number(g)
+        cases.extend((g, base, s) for s in (sigma - 1, sigma, sigma + 1) if s >= 1)
+    return cases
+
+
 class TestLemmaOracle:
     def test_directory_lemmas_match_oracle(self, oracle_cases, monkeypatch):
         clauses = set()
@@ -150,6 +165,41 @@ class TestLemmaOracle:
             "cone-address-intersects",
             "cone-address-dominates",
         }
+
+    def test_dense_directory_lemmas_match_oracle(self, dense_oracle_cases, monkeypatch):
+        clauses = set()
+        for g, base, sigma in dense_oracle_cases:
+            monkeypatch.setattr(verify, "_sigma", lambda g, s=sigma: s)
+            report = verify_directory_lemmas(g, base)
+            assert (report.instances, report.failures) == brute_directory_lemmas(
+                g, base, sigma
+            )
+            clauses.update(f["clause"] for f in report.failures)
+        assert clauses == {
+            "exact-neighbourhood-equals-common",
+            "disjoint-exact-neighbourhoods-no-edges",
+            "cone-address-intersects",
+            "cone-address-dominates",
+        }
+
+    def test_passing_report_walks_subsets_once(self, dense_oracle_cases, monkeypatch):
+        # Clauses 2 and 3 count their instances by formula; only clause 1
+        # walks coned subsets while nothing fails.
+        calls = []
+        walk = verify._coned_subsets
+        monkeypatch.setattr(
+            verify,
+            "_coned_subsets",
+            lambda *args: calls.append(args[1]) or walk(*args),
+        )
+        walks = {True: set(), False: set()}
+        for g, base, sigma in dense_oracle_cases:
+            monkeypatch.setattr(verify, "_sigma", lambda g, s=sigma: s)
+            calls.clear()
+            report = verify_directory_lemmas(g, base)
+            stray = any(f["clause"] == "cone-address-intersects" for f in report.failures)
+            walks[stray].add(len(calls))
+        assert walks == {True: {2}, False: {1}}
 
     def test_true_star_number_never_fails(self, oracle_cases):
         for g, base, sigma in oracle_cases:
@@ -179,6 +229,12 @@ class TestEmptyRuns:
             verify_directory_lemmas_random(count=1, max_order=3)
         with pytest.raises(ValueError, match="max_order"):
             verify_directory_lemmas_random(count=1, min_order=1, max_order=1)
+
+    def test_random_lemmas_order_is_capped(self):
+        with pytest.raises(ValueError, match="max_order"):
+            verify_directory_lemmas_random(count=1, max_order=101)
+        report = verify_directory_lemmas_random(count=1, min_order=100, max_order=100)
+        assert report.passed and report.instances == 1
 
     def test_random_lemmas_need_an_edge_probability_above_zero(self):
         nan = float("nan")
