@@ -256,31 +256,26 @@ def _cmd_classify(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
-    if args.suite == "directory-lemmas":
-        if args.random:
-            report = verify_directory_lemmas_random(
-                count=args.count, seed=args.seed, max_order=args.max_order
-            )
-        else:
-            g = truncate(parse_spec(args.family), args.truncate)
-            _, directory = independence_number(g)
-            report = verify_directory_lemmas(g, directory)
-    elif args.suite == "richness":
-        g = truncate(parse_spec(args.family), args.truncate)
-        _, directory = independence_number(g)
-        report = verify_neighbor_richness(g, directory, args.threshold)
-    elif args.suite == "triangle-dom2":
-        g = truncate(parse_spec(args.family), args.truncate)
-        _, directory = independence_number(g)
-        result = find_triangle_dom2(g, directory)
-        _emit(argv, {"triangle_dom2": result.to_dict()})
-        return 0
+    if args.suite == "directory-lemmas" and args.random:
+        report = verify_directory_lemmas_random(
+            count=args.count, seed=args.seed, max_order=args.max_order
+        )
     elif args.suite == "alpha-bound":
         report = verify_alpha_bound_family(
             range(args.n_min, args.n_max + 1), part_sizes=(args.part_size,)
         )
-    else:
+    elif args.suite == "cross-validate":
         report = cross_validate_hh(args.n_max)
+    else:
+        g = truncate(parse_spec(args.family), args.truncate)
+        _, directory = independence_number(g)
+        if args.suite == "triangle-dom2":
+            _emit(argv, {"triangle_dom2": find_triangle_dom2(g, directory).to_dict()})
+            return 0
+        if args.suite == "richness":
+            report = verify_neighbor_richness(g, directory, args.threshold)
+        else:
+            report = verify_directory_lemmas(g, directory)
     _emit(argv, {"suite_report": report.to_dict()})
     return 0 if report.passed else 1
 

@@ -139,6 +139,18 @@ def truncate(p: Presentation, n: int) -> Graph:
     return Graph(n, ((i, j) for j in range(n) for i in range(j) if p._adj(i, j)))
 
 
+def _least_scan(
+    adjacent: Callable[[int, int], bool], a, b, top: int, skip
+) -> int | None:
+    """The least v <= top outside skip adjacent to all of a and none of b."""
+    for v in range(top + 1):
+        if v not in skip and all(adjacent(v, x) for x in a) and not any(
+            adjacent(v, y) for y in b
+        ):
+            return v
+    return None
+
+
 # --- family constructors ----------------------------------------------------
 
 
@@ -152,6 +164,10 @@ def _diag_pair(k: int) -> tuple[int, int]:
 def _rado_bit() -> Presentation:
     def adj(i: int, j: int) -> bool:
         return bool(j >> i & 1)
+
+    def linked(u: int, x: int) -> bool:
+        # adj for either order of the two vertices.
+        return bool((u >> x if x < u else x >> u) & 1)
 
     def rows(n: int) -> list[int]:
         # Below v, the neighbours of v are the set bits of v itself.  Above
@@ -168,11 +184,9 @@ def _rado_bit() -> Presentation:
         marked = sorted(a + b)
         # Below the bit length of every marked vertex, ask the oracle.
         small = marked[-1].bit_length() if marked else 0
-        for v in range(min(small, budget + 1)):
-            if v not in marked and all(
-                adj(min(v, x), max(v, x)) for x in a
-            ) and not any(adj(min(v, y), max(v, y)) for y in b):
-                return v
+        v = _least_scan(linked, a, b, min(small - 1, budget), marked)
+        if v is not None:
+            return v
         # From there on no marked x above v has bit v set, so v is adjacent
         # to a marked x only when x < v and bit x of v is set.  In each gap
         # between marked vertices, the least candidate is amask plus the
@@ -334,12 +348,7 @@ def _two_way_path() -> Presentation:
 
 def _group_of(k: int) -> int:
     # Groups of sizes 1, 2, 3, ...; group m covers [m(m+1)/2, (m+1)(m+2)/2).
-    m = (math.isqrt(8 * k + 1) - 1) // 2
-    while m * (m + 1) // 2 > k:
-        m -= 1
-    while (m + 1) * (m + 2) // 2 <= k:
-        m += 1
-    return m
+    return (math.isqrt(8 * k + 1) - 1) // 2
 
 
 def _union_cliques_complement() -> Presentation:
@@ -453,38 +462,33 @@ def _complement_of(p: Presentation) -> Presentation:
     )
 
 
-_SIMPLE_FAMILIES: dict[str, Callable[[], Presentation]] = {
-    "rado_bit": _rado_bit,
-    "null": _null,
-    "i_omega": _null,
-    "k_omega": _k_omega,
-    "i_omega_k_omega": _i_omega_k_omega,
-    "union_cliques_complement": _union_cliques_complement,
-    "two_way_path": _two_way_path,
+# Family name -> (builder, the type of each parameter).
+_FAMILY_TABLE: dict[str, tuple[Callable[..., Presentation], tuple[type, ...]]] = {
+    "i_omega": (_null, ()),
+    "i_omega_k_omega": (_i_omega_k_omega, ()),
+    "k_omega": (_k_omega, ()),
+    "null": (_null, ()),
+    "rado_bit": (_rado_bit, ()),
+    "two_way_path": (_two_way_path, ()),
+    "union_cliques_complement": (_union_cliques_complement, ()),
+    "rs": (_rs, (int,)),
+    "complement_of": (_complement_of, (Presentation,)),
+    "lex": (_lex, (Presentation, Presentation)),
 }
 
-FAMILIES = tuple(sorted(_SIMPLE_FAMILIES)) + ("rs", "complement_of", "lex")
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def make_presentation(family: str, *params) -> Presentation:
     """Build a named family; params are ints or sub-presentations."""
-    if family in _SIMPLE_FAMILIES:
-        if params:
-            raise BadParams(f"family {family!r} takes no parameters")
-        return _SIMPLE_FAMILIES[family]()
-    if family == "rs":
-        if len(params) != 1 or not isinstance(params[0], int):
-            raise BadParams("rs takes a single integer parameter")
-        return _rs(params[0])
-    if family == "complement_of":
-        if len(params) != 1 or not isinstance(params[0], Presentation):
-            raise BadParams("complement_of takes a single presentation")
-        return _complement_of(params[0])
-    if family == "lex":
-        if len(params) != 2 or not all(isinstance(p, Presentation) for p in params):
-            raise BadParams("lex takes two presentations")
-        return _lex(*params)
-    raise BadParams(f"unknown family {family!r}")
+    if family not in _FAMILY_TABLE:
+        raise BadParams(f"unknown family {family!r}")
+    build, types = _FAMILY_TABLE[family]
+    if len(params) != len(types) or not all(map(isinstance, params, types)):
+        want = ", ".join(t.__name__ for t in types)
+        got = ", ".join(type(x).__name__ for x in params)
+        raise BadParams(f"family {family!r} takes ({want}), got ({got})")
+    return build(*params)
 
 
 def _split_args(text: str) -> list[str]:
@@ -579,15 +583,8 @@ def extension_witness(
     if p._least_witness is not None:
         v = p._least_witness(tuple(aset), tuple(bset), budget)
         return WitnessResult("exhausted") if v is None else WitnessResult("found", vertex=v)
-    excluded = set(aset) | set(bset)
-    for v in range(budget + 1):
-        if v in excluded:
-            continue
-        if all(p.adjacent(v, x) for x in aset) and not any(
-            p.adjacent(v, y) for y in bset
-        ):
-            return WitnessResult("found", vertex=v)
-    return WitnessResult("exhausted")
+    v = _least_scan(p.adjacent, aset, bset, budget, set(aset) | set(bset))
+    return WitnessResult("exhausted") if v is None else WitnessResult("found", vertex=v)
 
 
 @dataclass(frozen=True)
@@ -730,14 +727,16 @@ class RadoConstruction:
         }
 
 
-def _requirement_batch(
-    placed: list[int], t: int, cap: int
-) -> list[Requirement]:
+# Largest support |A u B| of a scheduled requirement.
+_MAX_REQUIREMENT_SIZE = 4
+
+
+def _requirement_batch(placed: list[int], t: int) -> list[Requirement]:
     """All requirements whose latest member is placed[t], by size then lex."""
     newest = placed[t]
     older = placed[:t]
     batch = []
-    for size in range(1, cap + 1):
+    for size in range(1, _MAX_REQUIREMENT_SIZE + 1):
         for rest in combinations(sorted(older), size - 1):
             support = tuple(sorted(rest + (newest,)))
             for abits in range(1 << size):
@@ -748,9 +747,19 @@ def _requirement_batch(
     return batch
 
 
-def spanning_rado(
-    p: Presentation, n: int, budget: int, max_requirement_size: int = 4
-) -> RadoConstruction:
+def _requirement_stream(placed: list[int]):
+    """The batches of placed[0], placed[1], ... in turn.
+
+    A batch reads only placed[:t + 1] and placed only grows, so a batch is
+    the same whenever it is built.
+    """
+    t = 0
+    while t < len(placed):
+        yield from _requirement_batch(placed, t)
+        t += 1
+
+
+def spanning_rado(p: Presentation, n: int, budget: int) -> RadoConstruction:
     """Greedy spanning selection: place every host vertex below n while
     serving (A, B) requirements over the placed vertices in a dovetailed
     order.
@@ -767,61 +776,31 @@ def spanning_rado(
     placed_set: set[int] = set()
     selected: list[tuple[int, int]] = []
     schedule: list[ScheduleEntry] = []
-    batches: list[list[Requirement]] = []
-    cursor_batch = 0
-    cursor_item = 0
-
-    def place(v: int) -> None:
+    # Each placed vertex adds at least 2 requirements (its size-1 batch)
+    # and each step consumes 1, so next() never finds the stream empty.
+    requirements = _requirement_stream(placed)
+    for v in range(n):
+        if v in placed_set:
+            continue
         placed.append(v)
         placed_set.add(v)
-
-    def next_requirement() -> Requirement | None:
-        nonlocal cursor_batch, cursor_item
-        while True:
-            while len(batches) <= cursor_batch and len(batches) < len(placed):
-                batches.append(
-                    _requirement_batch(placed, len(batches), max_requirement_size)
-                )
-            if cursor_batch >= len(batches):
-                return None
-            batch = batches[cursor_batch]
-            if cursor_item >= len(batch):
-                cursor_batch += 1
-                cursor_item = 0
-                continue
-            req = batch[cursor_item]
-            cursor_item += 1
-            return req
-
-    def fresh_cone(req: Requirement) -> int:
-        # Freshness is enforced by exclusion rather than by augmenting A
-        # with previously found cones: the least cone over an augmented set
-        # outgrows every budget on bit-style presentations.
+        req = next(requirements)
         cert = p.refute(req.cone_over, ())
         if cert is not None:
             raise BudgetExhausted(req, cert)
-        aset = set(req.cone_over)
-        for v in range(budget + 1):
-            if v in placed_set or v in aset:
-                continue
-            if all(p.adjacent(v, x) for x in req.cone_over):
-                return v
-        raise BudgetExhausted(
-            req, f"no fresh cone over {req.cone_over} within budget {budget}"
-        )
-
-    while not placed_set >= set(range(n)):
-        for v in range(n):
-            if v not in placed_set:
-                place(v)
-                break
-        req = next_requirement()
-        if req is not None:
-            w = fresh_cone(req)
-            place(w)
-            for x in req.cone_over:
-                selected.append((min(w, x), max(w, x)))
-            schedule.append(ScheduleEntry(req, w))
+        # Freshness is enforced by exclusion rather than by augmenting A
+        # with previously found cones: the least cone over an augmented set
+        # outgrows every budget on bit-style presentations.  A is placed, so
+        # skipping the placed vertices skips A too.
+        w = _least_scan(p.adjacent, req.cone_over, (), budget, placed_set)
+        if w is None:
+            raise BudgetExhausted(
+                req, f"no fresh cone over {req.cone_over} within budget {budget}"
+            )
+        placed.append(w)
+        placed_set.add(w)
+        selected.extend((min(w, x), max(w, x)) for x in req.cone_over)
+        schedule.append(ScheduleEntry(req, w))
 
     return RadoConstruction(
         host_spec=p.spec_string(),

@@ -50,6 +50,13 @@ EDGE_PROBABILITIES = (0.2, 0.5, 0.8)
 # 0.05-0.15 s, G(150, 0.2) 2-3 s; past the cap the campaign's cost grows
 # with no bound a caller can see.
 _MAX_RANDOM_ORDER = 100
+# Most index sets the richness suite builds.  On rado_bit, C(19, 11) =
+# 75,582 sets (--truncate 24) took 2.4 s and 325 MB peak; C(21, 12) =
+# 352,716 (--truncate 26) took 31 s and 2.9 GB, with 389 MB of JSON
+# (2 vCPU, CPython 3.11.7).  The pairs of sets grow as the square.
+_MAX_RICHNESS_SETS = 1 << 17
+# Largest S whose common neighbourhood cross_validate_hh checks for HH.
+_CLOSURE_SET_MAX = 2
 
 
 @dataclass
@@ -313,13 +320,20 @@ def verify_neighbor_richness(g: Graph, i, threshold: int) -> SuiteReport:
     For non-disjoint sigma-sized S, T inside the index set and every vertex
     of the exact neighbourhood of S, count its neighbours in the exact
     neighbourhood of T.  Counts below the threshold are findings about the
-    truncation, not refutations of anything infinite.
+    truncation, not refutations of anything infinite.  Raises ValueError
+    when the index set has more than _MAX_RICHNESS_SETS sigma-subsets.
     """
     start = time.perf_counter()
     imask = _require_base(g, i)
     sigma = _sigma(g)
     if sigma < 1:
         raise StarNumberZero("richness checks need star number at least 1")
+    count = comb(imask.bit_count(), sigma)
+    if count > _MAX_RICHNESS_SETS:
+        raise ValueError(
+            f"richness needs {count} index sets of size {sigma}, "
+            f"over the cap of {_MAX_RICHNESS_SETS}"
+        )
     _, exact = _address_table(g, imask)
     subsets = [sum(1 << v for v in s) for s in combinations(_list_of(imask), sigma)]
     failures = []
@@ -452,11 +466,11 @@ def verify_alpha_bound_family(
     )
 
 
-def cross_validate_hh(n_max: int, closure_set_max: int = 2) -> SuiteReport:
+def cross_validate_hh(n_max: int) -> SuiteReport:
     """Run both HH deciders on every isomorphism class up to n_max vertices.
 
     Also checks closure under common neighbourhoods: for every graph both
-    deciders call HH and every nonempty S (up to closure_set_max) with
+    deciders call HH and every nonempty S (up to _CLOSURE_SET_MAX) with
     nonempty N(S), the subgraph induced by N(S) must again be HH.
     """
     if n_max < 1:
@@ -490,7 +504,7 @@ def cross_validate_hh(n_max: int, closure_set_max: int = 2) -> SuiteReport:
                 continue
             if direct.verdict:
                 positives.append(g)
-                for s, cone in _coned_subsets(g.masks, range(n), closure_set_max):
+                for s, cone in _coned_subsets(g.masks, range(n), _CLOSURE_SET_MAX):
                     checked += 1
                     nbhd = _list_of(cone)
                     sub, _ = induced_subgraph(g, nbhd)

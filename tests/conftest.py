@@ -293,6 +293,47 @@ def brute_neighbor_richness(g: Graph, i, sigma: int, threshold: int) -> tuple[in
     return instances, failures
 
 
+def reference_spanning_schedule(p, n: int, budget: int):
+    """spanning_rado's run, literally.  Each step places the least unplaced
+    vertex below n, then serves the unserved requirement (A, B) over placed
+    vertices, |A u B| from 1 to 4, that is least by (position in placed of
+    its latest member, |A u B|, A, B), with the least unplaced v <= budget
+    that the oracle makes adjacent to all of A.
+
+    Returns (placed, [(A, B, witness), ...], the (A, B) that found no cone
+    or None).
+    """
+    placed: list[int] = []
+    schedule: list[tuple[tuple, tuple, int]] = []
+    served: set[tuple[tuple, tuple]] = set()
+    while not set(range(n)) <= set(placed):
+        placed.append(min(set(range(n)) - set(placed)))
+        for t, newest in enumerate(placed):
+            options = []
+            for size in range(1, 5):
+                for rest in combinations(placed[:t], size - 1):
+                    support = sorted(rest + (newest,))
+                    for sides in product((True, False), repeat=size):
+                        a = tuple(v for v, side in zip(support, sides) if side)
+                        b = tuple(v for v, side in zip(support, sides) if not side)
+                        if (a, b) not in served:
+                            options.append((size, a, b))
+            if options:
+                break
+        _, a, b = min(options)
+        served.add((a, b))
+        w = next(
+            (v for v in range(budget + 1)
+             if v not in placed and all(p.adjacent(v, x) for x in a)),
+            None,
+        )
+        if w is None:
+            return placed, schedule, (a, b)
+        placed.append(w)
+        schedule.append((a, b, w))
+    return placed, schedule, None
+
+
 def random_maximal_independent(rng, g: Graph) -> list[int]:
     """A maximal, not necessarily maximum, independent set: greedy over a
     shuffled vertex order."""

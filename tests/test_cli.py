@@ -299,6 +299,13 @@ class TestVerify:
         assert code == 0
         assert report["payload"]["suite_report"]["passed"] is True
 
+    def test_richness_beyond_the_index_set_cap_rejected(self, capsys):
+        argv = ["verify", "richness", "--family", "rado_bit", "--truncate", "26"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "352716 index sets" in captured.err
+
     def test_cross_validate_small(self, capsys):
         code, report = run_json(capsys, ["verify", "cross-validate", "--n-max", "4"])
         assert code == 0

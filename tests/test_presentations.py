@@ -32,7 +32,7 @@ from homoglab.presentations import (
     truncate,
 )
 
-from conftest import brute_components
+from conftest import brute_components, reference_spanning_schedule
 
 
 class TestFamilies:
@@ -86,6 +86,29 @@ class TestFamilies:
         # groups 0|12|345 appear as cliques of the complement
         assert sorted(co.edges()) == [(1, 2), (3, 4), (3, 5), (4, 5)]
 
+    def test_group_of_matches_a_triangular_search(self):
+        m = 0
+        for k in range(10**5):
+            if (m + 1) * (m + 2) // 2 <= k:
+                m += 1
+            assert presentations._group_of(k) == m, k
+        rng = random.Random(40)
+        for k in [10**40, 10**40 + 1, 2**133 - 1] + [
+            rng.randrange(10**40, 10**41) for _ in range(20)
+        ]:
+            # Bisection for the largest m with m(m+1)/2 <= k.
+            lo, hi = 0, k
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if mid * (mid + 1) // 2 <= k:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            start = lo * (lo + 1) // 2
+            assert presentations._group_of(k) == lo, k
+            assert presentations._group_of(start) == lo, k
+            assert presentations._group_of(start - 1) == lo - 1, k
+
     def test_lex_and_aliases(self):
         p = parse_spec("lex:k_omega,i_omega")
         g = truncate(p, 6)
@@ -96,6 +119,33 @@ class TestFamilies:
     def test_nested_spec_parsing(self):
         p = parse_spec("complement_of:rs(3)")
         assert truncate(p, 9) == complement(truncate(parse_spec("rs:3"), 9))
+
+    def test_every_family_round_trips_and_checks_its_parameters(self):
+        assert presentations.FAMILIES == (
+            "i_omega", "i_omega_k_omega", "k_omega", "null", "rado_bit",
+            "two_way_path", "union_cliques_complement", "rs", "complement_of", "lex",
+        )
+        sub = make_presentation("rado_bit")
+        good = {"rs": (3,), "complement_of": (sub,), "lex": (sub, sub)}
+        for family in presentations.FAMILIES:
+            params = good.get(family, ())
+            p = make_presentation(family, *params)
+            q = parse_spec(p.spec_string())
+            assert q.spec_string() == p.spec_string(), family
+            assert truncate(q, 12) == truncate(p, 12), family
+            # One parameter too many, one too few, and each of the wrong type.
+            wrong = [params + (3,), params[:-1]] + [
+                params[:i] + (sub if isinstance(x, int) else 3,) + params[i + 1:]
+                for i, x in enumerate(params)
+            ]
+            for args in wrong:
+                if args == params:
+                    continue
+                with pytest.raises(BadParams, match=family):
+                    make_presentation(family, *args)
+        for spec in ("rado_bit:1", "rs:rado_bit", "rs", "complement_of:3", "lex:rado_bit"):
+            with pytest.raises(BadParams):
+                parse_spec(spec)
 
     def test_unknown_family(self):
         with pytest.raises(BadParams):
@@ -263,6 +313,30 @@ class TestSpanningConstruction:
         a = spanning_rado(p, 14, 1 << 16)
         b = spanning_rado(p, 14, 1 << 16)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "spec, sizes, budget",
+        [("rado_bit", range(21), 1 << 16),
+         ("union_cliques_complement", range(21), 1 << 16),
+         ("complement_of:two_way_path", range(21), 1 << 16),
+         ("rs:3", [80], 1 << 14)],
+    )
+    def test_schedule_matches_the_reference(self, spec, sizes, budget):
+        p = parse_spec(spec)
+        for n in sizes:
+            placed, schedule, failed = reference_spanning_schedule(p, n, budget)
+            try:
+                c = spanning_rado(p, n, budget)
+            except BudgetExhausted as exc:
+                req = exc.requirement
+                assert (req.cone_over, req.cocone_over) == failed, n
+                continue
+            assert failed is None, n
+            assert list(c.placed) == placed, n
+            assert [
+                (e.requirement.cone_over, e.requirement.cocone_over, e.witness)
+                for e in c.schedule
+            ] == schedule, n
 
 
 class TestClassification:

@@ -3,6 +3,7 @@ bound over the layered family, and decider cross-validation."""
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -15,6 +16,7 @@ from homoglab.graphs import (
     independence_number,
     star_number,
 )
+from homoglab.presentations import make_presentation, truncate
 from homoglab.verify import (
     cross_validate_hh,
     find_triangle_dom2,
@@ -288,6 +290,25 @@ class TestRichness:
         report = verify_neighbor_richness(rs3_m2, [0, 1, 2], 1)
         for f in report.failures:
             assert set(f["subset_s"]) & set(f["subset_t"])
+
+    def test_index_sets_are_capped_before_any_is_built(self, rs3_m2, monkeypatch):
+        g = truncate(make_presentation("rado_bit"), 26)
+        directory = independence_number(g)[1]
+        assert comb(len(directory), star_number(g)[0]) == 352_716
+
+        def refuse(*args):
+            raise AssertionError("index sets built above the cap")
+
+        monkeypatch.setattr(verify, "combinations", refuse)
+        with pytest.raises(ValueError, match="352716 index sets .* cap of 131072"):
+            verify_neighbor_richness(g, directory, 1)
+        monkeypatch.undo()
+        # rs3_m2 has C(3, 2) = 3 index sets: a cap of 3 admits them.
+        monkeypatch.setattr(verify, "_MAX_RICHNESS_SETS", 3)
+        assert verify_neighbor_richness(rs3_m2, [0, 1, 2], 1).passed
+        monkeypatch.setattr(verify, "_MAX_RICHNESS_SETS", 2)
+        with pytest.raises(ValueError, match="cap of 2"):
+            verify_neighbor_richness(rs3_m2, [0, 1, 2], 1)
 
 
 class TestTriangleDom2:
