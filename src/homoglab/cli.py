@@ -17,7 +17,13 @@ from . import __version__
 from .errors import BadParams, BudgetExhausted, HomoglabError, InternalInvariant
 from .formats import read_graph, write_graph
 from .graphs import analyze, independence_number
-from .homogeneity import AgePartition, decide_hh_conditions, decide_xy, kk_okk
+from .homogeneity import (
+    _ORDER_LIMIT,
+    AgePartition,
+    decide_hh_conditions,
+    decide_xy,
+    kk_okk,
+)
 from .presentations import (
     classify_mb,
     extension_witness,
@@ -35,8 +41,6 @@ from .verify import (
     verify_directory_lemmas_random,
     verify_neighbor_richness,
 )
-
-_AGE_LIMIT = 10
 
 
 def _report(argv: list[str], payload: dict) -> dict:
@@ -159,11 +163,11 @@ def _cmd_analyze(args, argv) -> int:
         "edge_count": g.edge_count(),
         "analysis": report.to_dict(),
     }
-    if g.n <= _AGE_LIMIT:
+    if g.n <= _ORDER_LIMIT:
         payload["age_partition"] = _partition_dict(kk_okk(g, g.n))
     else:
         payload["age_partition"] = {
-            "skipped": f"age computation is capped at order {_AGE_LIMIT}"
+            "skipped": f"age computation is capped at order {_ORDER_LIMIT}"
         }
     _emit(argv, payload)
     return 0

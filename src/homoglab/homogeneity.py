@@ -34,11 +34,13 @@ monomorphisms, so no one-point argument is known to be sound there.
 The enumerating routes, (H, H), (M, H), (I, H) and the (I, Y) one-point
 check, list local maps with one enumerator, _local_maps.  Domains come by
 size and then lexicographically, images lexicographically, so each route
-reports its least failing map in that order.  One candidate rule, _targets,
-gives the images a vertex may take: neighbours of the images of its
+reports its least failing map in that order.  The images a vertex may take
+come from morphisms._targets, the one candidate rule that search_morphism
+and the is_local_* checks also ask: neighbours of the images of its
 neighbours, for M and I no used target, and for I no neighbour of the
 images of its non-neighbours.  The (I, Y) check asks the same rule for a
-vertex outside the domain.
+vertex outside the domain, and (M, H) and (I, H) hand each map to
+search_morphism as a seed.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .morphisms import (
     MorphismConstraints,
     PartialMap,
     _code,
-    extends_in,
+    _targets,
     search_morphism,
 )
 
@@ -132,7 +134,9 @@ class HomogReport:
         }
 
 
-_CODE_LIMIT = 10
+# The largest order the deciders and the age scan accept; there is no
+# override.  The (H, H) route builds a cone table of 2^n sets.
+_ORDER_LIMIT = 10
 
 
 def _cone_table(g: Graph, k: int) -> dict[int, int]:
@@ -145,41 +149,6 @@ def _cone_table(g: Graph, k: int) -> dict[int, int]:
         bit = 1 << v
         cones.update([(s | bit, c & row) for s, c in cones.items() if s.bit_count() < k])
     return cones
-
-
-def _scan_classes(g: Graph, k: int) -> list[dict]:
-    """Group all induced subgraphs of size <= k by isomorphism type."""
-    if k < 0:
-        raise ValueError(f"age size k must be at least 0, got {k}")
-    if k > g.n:
-        raise OrderTooLarge(f"age size {k} exceeds order {g.n}")
-    if k > _CODE_LIMIT:
-        raise OrderTooLarge(f"age computation capped at size {_CODE_LIMIT}, got {k}")
-    cones = _cone_table(g, k)
-    classes: dict[bytes, dict] = {}
-    for size in range(1, k + 1):
-        for comb in combinations(range(g.n), size):
-            sig = _induced_masks(g.masks, comb)
-            code = _code(sig)
-            cls = classes.get(code)
-            if cls is None:
-                cls = {
-                    "representative": Graph.from_masks(sig),
-                    "code": code,
-                    "embeddings": [],
-                    "coned": None,
-                    "coneless": None,
-                }
-                classes[code] = cls
-            cls["embeddings"].append(comb)
-            cone_mask = cones[sum(1 << v for v in comb)]
-            if cone_mask:
-                if cls["coned"] is None:
-                    cls["coned"] = (comb, next(_iter_bits(cone_mask)))
-            elif cls["coneless"] is None:
-                cls["coneless"] = comb
-    ordered = sorted(classes.values(), key=lambda c: (c["representative"].n, c["code"]))
-    return ordered
 
 
 def age(g: Graph, k: int, embedding_cap: int | None = None) -> list[AgeClass]:
@@ -195,38 +164,44 @@ def age(g: Graph, k: int, embedding_cap: int | None = None) -> list[AgeClass]:
 def kk_okk(g: Graph, k: int) -> AgePartition:
     """Classify every age class by cone existence over its embeddings.
 
-    Conflict detection always scans every embedding of every class.
+    One table keyed by code holds each class's first induced subgraph, its
+    embeddings, its first coned embedding with its least cone vertex, and
+    its first coneless embedding.  A code's first byte is its order, so
+    sorting by code alone lists the classes by order.  Conflict detection
+    always scans every embedding of every class.
     """
-    scanned = _scan_classes(g, k)
-    kk = set()
-    okk = set()
-    conflicts = []
+    if k < 0:
+        raise ValueError(f"age size k must be at least 0, got {k}")
+    if k > g.n:
+        raise OrderTooLarge(f"age size {k} exceeds order {g.n}")
+    if k > _ORDER_LIMIT:
+        raise OrderTooLarge(f"age computation capped at size {_ORDER_LIMIT}, got {k}")
+    cones = _cone_table(g, k)
+    table: dict[bytes, list] = {}
+    for size in range(1, k + 1):
+        for comb in combinations(range(g.n), size):
+            sig = _induced_masks(g.masks, comb)
+            code = _code(sig)
+            entry = table.get(code)
+            if entry is None:
+                entry = table[code] = [sig, [], None, None]
+            entry[1].append(comb)
+            cone_mask = cones[sum(1 << v for v in comb)]
+            if cone_mask:
+                if entry[2] is None:
+                    entry[2] = (comb, next(_iter_bits(cone_mask)))
+            elif entry[3] is None:
+                entry[3] = comb
     classes = []
-    for cls in scanned:
-        classes.append(
-            AgeClass(
-                representative=cls["representative"],
-                code=cls["code"],
-                embeddings=tuple(cls["embeddings"]),
-            )
-        )
-        if cls["coned"] is not None:
-            kk.add(cls["code"])
-        if cls["coneless"] is not None:
-            okk.add(cls["code"])
-        if cls["coned"] is not None and cls["coneless"] is not None:
-            emb, cone_vertex = cls["coned"]
-            conflicts.append(
-                Conflict(
-                    code=cls["code"],
-                    coned_embedding=emb,
-                    cone_vertex=cone_vertex,
-                    coneless_embedding=cls["coneless"],
-                )
-            )
+    conflicts = []
+    for code in sorted(table):
+        sig, embeddings, coned, coneless = table[code]
+        classes.append(AgeClass(Graph.from_masks(sig), code, tuple(embeddings)))
+        if coned is not None and coneless is not None:
+            conflicts.append(Conflict(code, coned[0], coned[1], coneless))
     return AgePartition(
-        kk=frozenset(kk),
-        okk=frozenset(okk),
+        kk=frozenset(code for code, entry in table.items() if entry[2] is not None),
+        okk=frozenset(code for code, entry in table.items() if entry[3] is not None),
         conflicts=tuple(conflicts),
         classes=tuple(classes),
     )
@@ -255,24 +230,6 @@ def _domains(n: int):
         yield from combinations(range(n), size)
 
 
-def _targets(g: Graph, x: str, vs, images, i: int, used: int) -> int:
-    """Mask of targets t for vs[i] that keep vs[:i+1] -> images[:i] + [t] a
-    local x-morphism, given one for vs[:i] -> images[:i] with image mask
-    used: edges go to neighbours of the image, M and I exclude used
-    targets, and I also keeps non-edges."""
-    adj = g.masks
-    row = adj[vs[i]]
-    allowed = (1 << g.n) - 1
-    if x != "H":
-        allowed &= ~used
-    for j in range(i):
-        if row >> vs[j] & 1:
-            allowed &= adj[images[j]]
-        elif x == "I":
-            allowed &= ~adj[images[j]]
-    return allowed
-
-
 def _local_maps(g: Graph, domain: tuple[int, ...], x: str):
     """Yield (images, image_mask) for every local x-morphism of g on domain,
     x in {H, M, I}, with images in ascending lexicographic order.
@@ -289,7 +246,8 @@ def _local_maps(g: Graph, domain: tuple[int, ...], x: str):
     images = [0] * size
     pending = [0] * size
     used = [0] * size
-    pending[0] = _targets(g, x, domain, images, 0, 0)
+    adj = g.masks
+    pending[0] = _targets(adj, adj, x, domain, images, 0, 0)
     i = 0
     while i >= 0:
         if i == last:
@@ -311,7 +269,7 @@ def _local_maps(g: Graph, domain: tuple[int, ...], x: str):
         images[i] = low.bit_length() - 1
         i += 1
         used[i] = used[i - 1] | low
-        pending[i] = _targets(g, x, domain, images, i, used[i])
+        pending[i] = _targets(adj, adj, x, domain, images, i, used[i])
 
 
 def _counterexample(domain, images, vertex, reason) -> dict:
@@ -362,7 +320,7 @@ def _h_search_failure(g: Graph, x: str) -> dict | None:
     """First local x-morphism, x in {M, I}, that no endomorphism extends."""
     for domain in _domains(g.n):
         for images, _ in _local_maps(g, domain, x):
-            if extends_in(g, PartialMap(tuple(zip(domain, images))), "H") is None:
+            if search_morphism(g, g, PartialMap(tuple(zip(domain, images)))) is None:
                 return _counterexample(domain, images, None, "no extension")
     return None
 
@@ -396,12 +354,13 @@ def _m_to_automorphism_failure(g: Graph) -> dict | None:
 def _i_to_automorphism_failure(g: Graph) -> dict | None:
     """First local isomorphism with a vertex it cannot take on as a local
     isomorphism."""
+    adj = g.masks
     full = (1 << g.n) - 1
     for domain in _domains(g.n):
         outside = full & ~sum(1 << v for v in domain)
         for images, image_mask in _local_maps(g, domain, "I"):
             for a in _iter_bits(outside):
-                if not _targets(g, "I", domain + (a,), images, len(domain), image_mask):
+                if not _targets(adj, adj, "I", domain + (a,), images, len(domain), image_mask):
                     reason = "no image for the new vertex keeps a local isomorphism"
                     return _counterexample(domain, images, a, reason)
     return None
@@ -414,7 +373,7 @@ _AUTOMORPHISM_FAILURE = {
 }
 
 
-def decide_xy(g: Graph, x: str, y: str, max_order: int = 10) -> HomogReport:
+def decide_xy(g: Graph, x: str, y: str) -> HomogReport:
     """Decide whether every local x-morphism extends to a y-endomorphism.
 
     Each cell has one exact route (proofs in the module docstring).  (H, H)
@@ -423,14 +382,15 @@ def decide_xy(g: Graph, x: str, y: str, max_order: int = 10) -> HomogReport:
     for x = M complete or edgeless, else a non-edge uv and an edge st give
     {u->s, v->t}; for x = I every local isomorphism must extend by one
     vertex.  (M, H) and (I, H) search for an extension of every local
-    morphism, which is exponential and only meant for small orders.
+    morphism, which is exponential and only meant for small orders; every
+    cell is capped at order 10, with no override.
     """
     if x not in X_KINDS:
         raise ValueError(f"x kind must be one of {X_KINDS!r}, got {x!r}")
     if y not in KINDS:
         raise ValueError(f"y kind must be one of {KINDS!r}, got {y!r}")
-    if g.n > max_order:
-        raise OrderTooLarge(f"direct decider capped at order {max_order}, got {g.n}")
+    if g.n > _ORDER_LIMIT:
+        raise OrderTooLarge(f"direct decider capped at order {_ORDER_LIMIT}, got {g.n}")
     if y == "H":
         if x == "H":
             return _decide_hh_direct(g)
@@ -447,6 +407,37 @@ def decide_xy(g: Graph, x: str, y: str, max_order: int = 10) -> HomogReport:
     )
 
 
+def _conditions_failure(part: AgePartition) -> dict | None:
+    """The first failure of condition 1, else of condition 2, as a
+    counterexample; None when both hold."""
+    if part.conflicts:
+        c = part.conflicts[0]
+        return {
+            "condition": 1,
+            "code": c.code,
+            "coned_embedding": list(c.coned_embedding),
+            "cone_vertex": c.cone_vertex,
+            "coneless_embedding": list(c.coneless_embedding),
+        }
+    kk_classes = [cls for cls in part.classes if cls.code in part.kk]
+    okk_classes = [cls for cls in part.classes if cls.code in part.okk]
+    for upper in kk_classes:
+        for lower in okk_classes:
+            surj = search_morphism(
+                upper.representative, lower.representative, None, _SURJECTIVE
+            )
+            if surj is not None:
+                return {
+                    "condition": 2,
+                    "upper_code": upper.code,
+                    "lower_code": lower.code,
+                    "upper_embedding": list(upper.embeddings[0]),
+                    "lower_embedding": list(lower.embeddings[0]),
+                    "surjection": surj,
+                }
+    return None
+
+
 def decide_hh_conditions(g: Graph, k: int | None = None) -> HomogReport:
     """HH verdict through the age partition.
 
@@ -457,50 +448,18 @@ def decide_hh_conditions(g: Graph, k: int | None = None) -> HomogReport:
     k says so in its note.
     """
     k = g.n if k is None else k
-    part = kk_okk(g, k)
-    if part.conflicts:
-        c = part.conflicts[0]
-        return HomogReport(
-            verdict=False,
-            x_kind="H",
-            y_kind="H",
-            method="conditions",
-            counterexample={
-                "condition": 1,
-                "code": c.code,
-                "coned_embedding": list(c.coned_embedding),
-                "cone_vertex": c.cone_vertex,
-                "coneless_embedding": list(c.coneless_embedding),
-            },
-        )
-    kk_classes = [cls for cls in part.classes if cls.code in part.kk]
-    okk_classes = [cls for cls in part.classes if cls.code in part.okk]
-    for upper in kk_classes:
-        for lower in okk_classes:
-            surj = search_morphism(
-                upper.representative, lower.representative, None, _SURJECTIVE
-            )
-            if surj is not None:
-                return HomogReport(
-                    verdict=False,
-                    x_kind="H",
-                    y_kind="H",
-                    method="conditions",
-                    counterexample={
-                        "condition": 2,
-                        "upper_code": upper.code,
-                        "lower_code": lower.code,
-                        "upper_embedding": list(upper.embeddings[0]),
-                        "lower_embedding": list(lower.embeddings[0]),
-                        "surjection": surj,
-                    },
-                )
+    counterexample = _conditions_failure(kk_okk(g, k))
     note = None
-    if k < g.n:
+    if counterexample is None and k < g.n:
         note = (
             f"partial age: the verdict covers only induced subgraphs of at most "
             f"{k} vertices of an order-{g.n} graph"
         )
     return HomogReport(
-        verdict=True, x_kind="H", y_kind="H", method="conditions", note=note
+        verdict=counterexample is None,
+        x_kind="H",
+        y_kind="H",
+        method="conditions",
+        counterexample=counterexample,
+        note=note,
     )

@@ -2,9 +2,10 @@
 
 The search assigns source vertices in index order and tries targets in
 ascending order, so the first complete assignment is the lexicographically
-least total map.  Candidate targets are filtered through neighbourhood
-masks of the already assigned vertices, which keeps the search cheap at the
-orders this package works with.
+least total map.  One rule, _targets, gives the targets that keep a partial
+map a local H-, M- or I-morphism, from the neighbourhood masks of the
+vertices already assigned.  The search, the is_local_* checks and the
+local-map enumeration of the deciders in homogeneity.py all ask it.
 """
 
 from __future__ import annotations
@@ -72,32 +73,58 @@ class MorphismConstraints:
     respect_nonedges: bool = False
 
 
+def _targets(amask, bmask, x: str, vs, images, i: int, used: int) -> int:
+    """Mask of targets t for vs[i] that keep vs[:i+1] -> images[:i] + [t] a
+    local x-morphism between the graphs with neighbourhood masks amask and
+    bmask, given one for vs[:i] -> images[:i] with image mask used: edges
+    go to neighbours of the image, M and I exclude used targets, and I also
+    keeps non-edges.  The one statement of the rule; every local-morphism
+    check, enumeration and search asks it."""
+    row = amask[vs[i]]
+    allowed = (1 << len(bmask)) - 1
+    if x != "H":
+        allowed &= ~used
+    for j in range(i):
+        if row >> vs[j] & 1:
+            allowed &= bmask[images[j]]
+        elif x == "I":
+            allowed &= ~bmask[images[j]]
+    return allowed
+
+
+def _local_image(a: Graph, b: Graph, f: PartialMap, x: str) -> int | None:
+    """Image mask of f when it is a local x-morphism a -> b, x in {H, M, I},
+    else None, asking _targets for each pair in turn.  A pair outside the
+    graphs raises ValueError."""
+    vs, images = [], []
+    for u, t in f.pairs:
+        if not 0 <= u < a.n or not 0 <= t < b.n:
+            raise ValueError(f"map pair ({u},{t}) out of range")
+        vs.append(u)
+        images.append(t)
+    amask, bmask = a.masks, b.masks
+    used = 0
+    for i, t in enumerate(images):
+        if not _targets(amask, bmask, x, vs, images, i, used) >> t & 1:
+            return None
+        used |= 1 << t
+    return used
+
+
 def is_local_homomorphism(a: Graph, b: Graph, f: PartialMap) -> bool:
     """Every edge of the induced domain maps to an edge of b."""
-    pairs = f.pairs
-    for i, (u, fu) in enumerate(pairs):
-        for v, fv in pairs[i + 1 :]:
-            if a.has_edge(u, v) and not b.has_edge(fu, fv):
-                return False
-    return True
+    return _local_image(a, b, f, "H") is not None
 
 
 def is_local_monomorphism(a: Graph, b: Graph, f: PartialMap) -> bool:
-    targets = [v for _, v in f.pairs]
-    if len(set(targets)) != len(targets):
-        return False
-    return is_local_homomorphism(a, b, f)
+    """An injective local homomorphism."""
+    return _local_image(a, b, f, "M") is not None
 
 
 def is_local_isomorphism(a: Graph, b: Graph, f: PartialMap) -> bool:
-    if not is_local_monomorphism(a, b, f):
-        return False
-    pairs = f.pairs
-    for i, (u, fu) in enumerate(pairs):
-        for v, fv in pairs[i + 1 :]:
-            if not a.has_edge(u, v) and b.has_edge(fu, fv):
-                return False
-    return True
+    """An injective map that takes edges to edges and non-edges to
+    non-edges."""
+    return _local_image(a, b, f, "I") is not None
 
 
 def validate_total_map(
@@ -139,75 +166,47 @@ def search_morphism(
         return [] if (not c.surjective or m == 0) else None
     if m == 0:
         return None
-
-    amask = a.masks
-    bmask = b.masks
-    full_b = (1 << m) - 1
-    f = [-1] * n
-    assigned_mask = 0
-
-    def candidates(v: int, image: int) -> int:
-        # Targets for v given the assigned vertices, whose image mask is
-        # image: neighbours of the images of its neighbours, no used target
-        # if injective, and no image of a non-neighbour or its neighbour if
-        # non-edges are respected.
-        allowed = full_b & ~image if c.injective else full_b
-        for u in _iter_bits(amask[v] & assigned_mask):
-            allowed &= bmask[f[u]]
-        if c.respect_nonedges:
-            for u in _iter_bits(assigned_mask & ~amask[v]):
-                allowed &= ~(bmask[f[u]] | 1 << f[u])
-        return allowed
-
     seed = seed or EMPTY_MAP
-    for u, t in seed.pairs:
-        if not 0 <= u < n or not 0 <= t < m:
-            raise ValueError(f"seed pair ({u},{t}) out of range")
-    seed_image = 0
-    for u, t in seed.pairs:
-        if not candidates(u, seed_image) >> t & 1:
-            return None
-        f[u] = t
-        assigned_mask |= 1 << u
-        seed_image |= 1 << t
+    # Respecting non-edges forces injectivity: a graph has no loops, so an
+    # edge cannot go to one vertex, and a kept non-edge goes to two
+    # distinct non-adjacent ones.
+    x = "I" if c.respect_nonedges else "M" if c.injective else "H"
+    used = _local_image(a, b, seed, x)
+    if used is None:
+        return None
 
-    order = [v for v in range(n) if f[v] < 0]
-    total = len(order)
+    amask, bmask = a.masks, b.masks
+    full_b = (1 << m) - 1
+    k = len(seed)
+    vs = seed.sources()
+    vs += [v for v in range(n) if v not in vs]
+    images = [t for _, t in seed.pairs] + [0] * (n - k)
 
-    def dfs(idx: int, image: int) -> bool:
-        nonlocal assigned_mask
-        if idx == total:
-            return not c.surjective or image == full_b
-        if c.surjective and total - idx < m - image.bit_count():
+    def dfs(i: int, used: int) -> bool:
+        if i == n:
+            return not c.surjective or used == full_b
+        if c.surjective and n - i < m - used.bit_count():
             return False
-        v = order[idx]
-        bit = 1 << v
-        for t in _iter_bits(candidates(v, image)):
-            f[v] = t
-            assigned_mask |= bit
-            if dfs(idx + 1, image | 1 << t):
+        for t in _iter_bits(_targets(amask, bmask, x, vs, images, i, used)):
+            images[i] = t
+            if dfs(i + 1, used | 1 << t):
                 return True
-            assigned_mask ^= bit
         return False
 
-    if dfs(0, seed_image):
-        if not validate_total_map(a, b, f, c):
-            raise InternalInvariant("search produced an invalid witness")
-        return f
-    return None
+    if not dfs(k, used):
+        return None
+    f = [0] * n
+    for v, t in zip(vs, images):
+        f[v] = t
+    if not validate_total_map(a, b, f, c):
+        raise InternalInvariant("search produced an invalid witness")
+    return f
 
 
-# Seed requirements per target kind.  A map extending to an injective
-# endomorphism must itself be injective; one extending to an embedding must
-# be a local isomorphism.
-_KIND_SEED_CHECK = {
-    "H": is_local_homomorphism,
-    "E": is_local_homomorphism,
-    "M": is_local_monomorphism,
-    "B": is_local_monomorphism,
-    "A": is_local_monomorphism,
-    "I": is_local_isomorphism,
-}
+# The local morphism a seed must be to extend to each target kind.  A map
+# extending to an injective endomorphism must itself be injective; one
+# extending to an embedding must be a local isomorphism.
+_SEED_KIND = {"H": "H", "E": "H", "M": "M", "B": "M", "A": "M", "I": "I"}
 
 # On a finite graph an injective, surjective, bijective or embedding
 # endomorphism is an automorphism, so every kind but H searches these maps.
@@ -228,7 +227,7 @@ def extends_in(g: Graph, f: PartialMap, kind: str) -> list[int] | None:
     for u, t in f.pairs:
         if not 0 <= u < g.n or not 0 <= t < g.n:
             raise SeedNotLocalMorphism(f"seed pair ({u},{t}) out of range")
-    if not _KIND_SEED_CHECK[kind](g, g, f):
+    if _local_image(g, g, f, _SEED_KIND[kind]) is None:
         raise SeedNotLocalMorphism(
             f"seed is not a local morphism of the kind required for {kind}"
         )

@@ -13,9 +13,11 @@ from homoglab.graphs import (
     address,
     common_neighborhood,
     complete_graph,
+    cycle_graph,
     disjoint_union,
     empty_graph,
     exact_neighborhood,
+    lex_product,
 )
 
 
@@ -34,6 +36,26 @@ def clique_union(sizes) -> Graph:
     for size in sizes:
         g = disjoint_union(g, complete_graph(size))
     return g
+
+
+def census_tail() -> list[Graph]:
+    """The twelve symmetric graphs of order 8-10 that the benchmark's
+    census ends with, in its order and natural labelling."""
+    return [
+        complete_graph(8),
+        empty_graph(8),
+        clique_union((4, 4)),
+        clique_union((2, 2, 2, 2)),
+        lex_product(complete_graph(4), empty_graph(2)),
+        lex_product(cycle_graph(4), complete_graph(2)),
+        cycle_graph(8),
+        petersen(),
+        lex_product(cycle_graph(5), complete_graph(2)),
+        Graph(9, [(u, v) for u, v in combinations(range(9), 2)
+                  if u // 3 == v // 3 or u % 3 == v % 3]),
+        clique_union((3, 3, 3)),
+        lex_product(complete_graph(3), empty_graph(3)),
+    ]
 
 
 def brute_alpha(g: Graph) -> int:

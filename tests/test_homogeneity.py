@@ -1,6 +1,8 @@
 """Ages, kk/okk partitions, the surjective-homomorphism order, and the two
 HH deciders with their agreement on small graphs."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -38,6 +40,7 @@ from homoglab.morphisms import (
 from conftest import (
     brute_extendable,
     brute_local_morphisms,
+    census_tail,
     clique_union,
     graph_from_bits,
     petersen,
@@ -211,8 +214,65 @@ class TestDecideXY:
             decide_xy(complete_graph(2), "H", "X")
 
     def test_order_cap(self):
-        with pytest.raises(OrderTooLarge):
-            decide_xy(empty_graph(11), "H", "H")
+        # One cap of 10 for every cell, with no override: above it the
+        # (H, H) route would build a cone table of 2^n sets.
+        for x, y in (("H", "H"), ("M", "H"), ("I", "A")):
+            with pytest.raises(OrderTooLarge, match="capped at order 10"):
+                decide_xy(empty_graph(11), x, y)
+        with pytest.raises(TypeError):
+            decide_xy(empty_graph(11), "H", "H", max_order=11)
+
+
+# Recorded from the deciders before the local-morphism rule moved into
+# morphisms.py; see TestRecordedDigest.
+_RECORDED_DECIDER_DIGEST = "3844c4a3ea1550db27965798e1dc090a1538e2d4fc58fb8027f0dff3f1b0b0b1"
+
+
+def _decider_record(g, cells) -> str:
+    """Both HH deciders, the age partition and the given decide_xy cells
+    of g, as one canonical JSON string."""
+    part = kk_okk(g, g.n)
+    partition = {
+        "classes": [
+            [cls.code.hex(), list(cls.representative.masks), [list(e) for e in cls.embeddings]]
+            for cls in part.classes
+        ],
+        "kk": sorted(code.hex() for code in part.kk),
+        "okk": sorted(code.hex() for code in part.okk),
+        "conflicts": [
+            [c.code.hex(), list(c.coned_embedding), c.cone_vertex, list(c.coneless_embedding)]
+            for c in part.conflicts
+        ],
+    }
+    record = {
+        "masks": list(g.masks),
+        "conditions": decide_hh_conditions(g).to_dict(),
+        "partition": partition,
+        "cells": [decide_xy(g, x, y).to_dict() for x, y in cells],
+    }
+    return json.dumps(record, sort_keys=True)
+
+
+class TestRecordedDigest:
+    def test_decider_reports_match_the_recorded_digest(self):
+        # One SHA-256 over every decider report and age partition: all 18
+        # decide_xy cells up to order 5 and (H, H) at order 6, on each
+        # class and on a seeded relabelling of it, then the benchmark's
+        # symmetric tail of order 8-10.  Any change to a verdict, a
+        # counterexample, a note or an age class shows here.
+        every_cell = [(x, y) for x in "HMI" for y in "HMEBAI"]
+        rng = random.Random(1511)
+        digest = hashlib.sha256()
+        for n in range(1, 7):
+            cells = every_cell if n <= 5 else [("H", "H")]
+            for rep in enumerate_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for g in (rep, rep.relabel(perm)):
+                    digest.update(_decider_record(g, cells).encode())
+        for g in census_tail():
+            digest.update(_decider_record(g, [("H", "H")]).encode())
+        assert digest.hexdigest() == _RECORDED_DECIDER_DIGEST
 
 
 def _unskipped_hh_walk(g) -> dict:

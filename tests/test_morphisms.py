@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from homoglab import morphisms
 from homoglab.errors import InternalInvariant, OrderTooLarge, SeedNotLocalMorphism
 from homoglab.graphs import (
-    Graph,
     complement,
     complete_graph,
     cycle_graph,
@@ -26,6 +25,8 @@ from homoglab.morphisms import (
     enumerate_graphs,
     extends_in,
     is_local_homomorphism,
+    is_local_isomorphism,
+    is_local_monomorphism,
     search_morphism,
     validate_total_map,
 )
@@ -33,10 +34,11 @@ from homoglab.homogeneity import kk_okk
 from homoglab.verify import random_graph
 
 from conftest import (
+    brute_local_morphisms,
     brute_min_code,
+    census_tail,
     clique_union,
     graph_from_bits,
-    petersen,
     reference_min_column_code,
 )
 
@@ -48,11 +50,15 @@ def graphs(draw, max_n=5):
     return graph_from_bits(n, bits)
 
 
+# Respecting non-edges alone must give the same maps as with injectivity:
+# the search reads it as kind I, which excludes used targets.
 _CONSTRAINT_SETS = (
     MorphismConstraints(),
     MorphismConstraints(injective=True),
     MorphismConstraints(surjective=True),
     MorphismConstraints(injective=True, surjective=True, respect_nonedges=True),
+    MorphismConstraints(respect_nonedges=True),
+    MorphismConstraints(surjective=True, respect_nonedges=True),
 )
 
 
@@ -129,6 +135,44 @@ class TestPartialMap:
 
     def test_normalized(self):
         assert PartialMap([(2, 0), (1, 1)]).pairs == ((1, 1), (2, 0))
+
+
+_LOCAL_CHECKS = {
+    "H": is_local_homomorphism,
+    "M": is_local_monomorphism,
+    "I": is_local_isomorphism,
+}
+
+
+class TestLocalChecks:
+    def test_every_partial_map_against_brute_force_up_to_order_4(self):
+        # Every partial map of every class, targets anywhere in the graph,
+        # against the local morphisms listed by their definitions.
+        for n in range(1, 5):
+            for g in enumerate_graphs(n):
+                local = brute_local_morphisms(g)
+                for size in range(n + 1):
+                    for domain in combinations(range(n), size):
+                        for images in product(range(n), repeat=size):
+                            pairs = tuple(zip(domain, images))
+                            f = PartialMap(pairs)
+                            for x, check in _LOCAL_CHECKS.items():
+                                assert check(g, g, f) == (pairs in local[x]), (g.masks, pairs, x)
+
+    def test_pairs_outside_the_graphs_raise(self):
+        # A lone pair, or one whose vertex no edge test reaches, used to be
+        # accepted as part of a local morphism.
+        k2, p3 = complete_graph(2), path_graph(3)
+        for check in _LOCAL_CHECKS.values():
+            for a, b, pairs in (
+                (k2, k2, [(5, 7)]),
+                (k2, k2, [(0, 2)]),
+                (p3, k2, [(2, 2)]),
+                (p3, p3, [(0, 0), (2, 5)]),
+                (k2, p3, [(0, 1), (-1, 0)]),
+            ):
+                with pytest.raises(ValueError, match="out of range"):
+                    check(a, b, PartialMap(pairs))
 
 
 class TestSearchMorphism:
@@ -358,26 +402,11 @@ class TestCanonicalCode:
         # enumeration order, and of the twelve symmetric graphs of order
         # 8-10 that the benchmark's census ends with, so any change to a
         # code byte or to the enumeration order shows here.
-        tail = [
-            complete_graph(8),
-            empty_graph(8),
-            clique_union((4, 4)),
-            clique_union((2, 2, 2, 2)),
-            lex_product(complete_graph(4), empty_graph(2)),
-            lex_product(cycle_graph(4), complete_graph(2)),
-            cycle_graph(8),
-            petersen(),
-            lex_product(cycle_graph(5), complete_graph(2)),
-            Graph(9, [(u, v) for u, v in combinations(range(9), 2)
-                      if u // 3 == v // 3 or u % 3 == v % 3]),
-            clique_union((3, 3, 3)),
-            lex_product(complete_graph(3), empty_graph(3)),
-        ]
         digest = hashlib.sha256()
         for n in range(1, 8):
             for g in enumerate_graphs(n):
                 digest.update(canonical_code(g))
-        for g in tail:
+        for g in census_tail():
             digest.update(canonical_code(g))
         assert digest.hexdigest() == _RECORDED_CODE_DIGEST
 

@@ -106,3 +106,16 @@ def test_unbounded_memo_guard_catches_each_form():
         "@dataclass(frozen=True)\nclass C: pass",
     ):
         assert not _is_unbounded_memo(first_decorator(source)), source
+
+
+def test_one_local_morphism_rule():
+    # morphisms._targets is the only statement of which targets keep a map
+    # a local H-, M- or I-morphism; the search, the is_local_* checks and
+    # the deciders all ask it.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "_targets"
+    ]
+    assert [f.split(":")[0] for f in found] == ["morphisms.py"], found
