@@ -3,8 +3,8 @@
 Subcommands: analyze, check, generate, witness, rado-span, classify,
 verify.  Every command prints one JSON report to stdout.  Exit codes:
 0 verdict computed, 1 suite failures or a negative verdict under
---expect yes, 2 invalid input, 3 budget exhausted, 4 internal invariant
-failure.
+--expect yes, 2 invalid input, 3 budget exhausted, 4 internal error: an
+invariant failure or a search deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .verify import (
     DEFAULT_SEED,
     cross_validate_hh,
     find_triangle_dom2,
-    rs_truncation,
     verify_alpha_bound_family,
     verify_directory_lemmas,
     verify_directory_lemmas_random,
@@ -306,7 +305,7 @@ def run(argv: list[str]) -> int:
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InternalInvariant as exc:
+    except (InternalInvariant, RecursionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except (HomoglabError, ValueError, OSError) as exc:

@@ -45,7 +45,7 @@ search_morphism as a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OrderTooLarge
@@ -151,14 +151,9 @@ def _cone_table(g: Graph, k: int) -> dict[int, int]:
     return cones
 
 
-def age(g: Graph, k: int, embedding_cap: int | None = None) -> list[AgeClass]:
+def age(g: Graph, k: int) -> list[AgeClass]:
     """One AgeClass per isomorphism type of induced subgraph of size <= k."""
-    if embedding_cap is not None and embedding_cap < 0:
-        raise ValueError(f"embedding_cap must be at least 0, got {embedding_cap}")
-    return [
-        replace(cls, embeddings=cls.embeddings[:embedding_cap])
-        for cls in kk_okk(g, k).classes
-    ]
+    return list(kk_okk(g, k).classes)
 
 
 def kk_okk(g: Graph, k: int) -> AgePartition:
@@ -438,28 +433,18 @@ def _conditions_failure(part: AgePartition) -> dict | None:
     return None
 
 
-def decide_hh_conditions(g: Graph, k: int | None = None) -> HomogReport:
-    """HH verdict through the age partition.
+def decide_hh_conditions(g: Graph) -> HomogReport:
+    """HH verdict through the whole age partition, capped at order 10.
 
     Condition 1: no age class has both a coned and a cone-free embedding.
     Condition 2: the coned classes are upward closed under the surjective
     homomorphism order, tested as: no coned class maps onto a cone-free one.
-    A complete verdict needs k = order(g); a positive verdict for a smaller
-    k says so in its note.
     """
-    k = g.n if k is None else k
-    counterexample = _conditions_failure(kk_okk(g, k))
-    note = None
-    if counterexample is None and k < g.n:
-        note = (
-            f"partial age: the verdict covers only induced subgraphs of at most "
-            f"{k} vertices of an order-{g.n} graph"
-        )
+    counterexample = _conditions_failure(kk_okk(g, g.n))
     return HomogReport(
         verdict=counterexample is None,
         x_kind="H",
         y_kind="H",
         method="conditions",
         counterexample=counterexample,
-        note=note,
     )

@@ -47,15 +47,6 @@ class PartialMap:
             raise ValueError("duplicate source vertex in partial map")
         object.__setattr__(self, "pairs", normalized)
 
-    @classmethod
-    def of(cls, mapping) -> "PartialMap":
-        if isinstance(mapping, dict):
-            return cls(tuple(mapping.items()))
-        return cls(tuple(mapping))
-
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def sources(self) -> list[int]:
         return [u for u, _ in self.pairs]
 
@@ -245,20 +236,17 @@ _CODE_FORMAT_ORDER = 17
 _LOOSE = 1 << 16
 
 
-def canonical_code(g: Graph, max_order: int = 10) -> bytes:
+def canonical_code(g: Graph) -> bytes:
     """Complete isomorphism invariant: the minimum adjacency column string.
 
     Columns are the bit strings b(p0,pk)...b(p(k-1),pk) over all vertex
     orderings p, minimized lexicographically.  Exact and permutation
-    invariant; exponential, hence the order cap.  The code format holds at
-    most 17 vertices, whatever max_order says.
+    invariant, but exponential on graphs without twins; the code format
+    caps the order at 17, with no override.
     """
-    n = g.n
-    if n > max_order:
-        raise OrderTooLarge(f"canonical code capped at order {max_order}, got {n}")
-    if n > _CODE_FORMAT_ORDER:
+    if g.n > _CODE_FORMAT_ORDER:
         raise OrderTooLarge(
-            f"canonical code format holds at most {_CODE_FORMAT_ORDER} vertices, got {n}"
+            f"canonical code format holds at most {_CODE_FORMAT_ORDER} vertices, got {g.n}"
         )
     return _code(g.masks)
 
@@ -349,6 +337,9 @@ def _code(adj: tuple[int, ...]) -> bytes:
 
 # --- exhaustive enumeration up to isomorphism ------------------------------
 
+# Largest order enumerate_graphs accepts; order 8 asks for 144,922 codes.
+_ENUMERATION_ORDER = 8
+
 
 def _extend(g: Graph, nbr_mask: int) -> Graph:
     masks = list(g.masks) + [nbr_mask]
@@ -358,7 +349,7 @@ def _extend(g: Graph, nbr_mask: int) -> Graph:
     return Graph.from_masks(masks)
 
 
-def enumerate_graphs(n: int, max_order: int = 8) -> Iterator[Graph]:
+def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of n-vertex graphs.
 
     Built by one-vertex extensions of the (n-1)-vertex representatives,
@@ -369,15 +360,15 @@ def enumerate_graphs(n: int, max_order: int = 8) -> Iterator[Graph]:
     """
     if n < 1:
         raise ValueError("enumeration starts at order 1")
-    if n > max_order:
-        raise OrderTooLarge(f"enumeration capped at order {max_order}, got {n}")
+    if n > _ENUMERATION_ORDER:
+        raise OrderTooLarge(f"enumeration capped at order {_ENUMERATION_ORDER}, got {n}")
     reps = (Graph(1),)
     for order in range(2, n + 1):
         seen: dict[bytes, Graph] = {}
         for g in reps:
             for mask in range(1 << (order - 1)):
                 h = _extend(g, mask)
-                code = canonical_code(h, max_order=order)
+                code = _code(h.masks)
                 if code not in seen:
                     seen[code] = h
         reps = tuple(h for _, h in sorted(seen.items()))

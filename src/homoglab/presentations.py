@@ -511,30 +511,40 @@ def _split_args(text: str) -> list[str]:
     return parts
 
 
+# Deepest nesting parse_spec accepts.  Each level adds frames to every
+# adjacency and refuter call; 500 levels passed Python's recursion limit.
+_MAX_SPEC_DEPTH = 64
+
+
 def parse_spec(text: str) -> Presentation:
-    """Parse 'family', 'family:args' or 'family(args)' with nesting."""
-    text = text.strip()
-    if not text:
-        raise BadParams("empty presentation spec")
-    if ":" in text and (text.index(":") < text.find("(") or "(" not in text):
-        name, _, rest = text.partition(":")
-        args = _split_args(rest)
-    elif text.endswith(")") and "(" in text:
-        name, _, rest = text.partition("(")
-        args = _split_args(rest[:-1])
-    else:
-        name, args = text, []
-    name = name.strip()
-    parsed = []
-    for arg in args:
-        arg = arg.strip()
-        if not arg:
-            raise BadParams(f"empty argument in spec {text!r}")
-        try:
-            parsed.append(int(arg))
-        except ValueError:
-            parsed.append(parse_spec(arg))
-    return make_presentation(name, *parsed)
+    """Parse 'family', 'family:args' or 'family(args)' with at most
+    _MAX_SPEC_DEPTH levels of nesting."""
+    def parse(text: str, depth: int) -> Presentation:
+        text = text.strip()
+        if not text:
+            raise BadParams("empty presentation spec")
+        if depth > _MAX_SPEC_DEPTH:
+            raise BadParams(f"spec nests deeper than {_MAX_SPEC_DEPTH} levels")
+        if ":" in text and (text.index(":") < text.find("(") or "(" not in text):
+            name, _, rest = text.partition(":")
+            args = _split_args(rest)
+        elif text.endswith(")") and "(" in text:
+            name, _, rest = text.partition("(")
+            args = _split_args(rest[:-1])
+        else:
+            name, args = text, []
+        parsed = []
+        for arg in args:
+            arg = arg.strip()
+            if not arg:
+                raise BadParams(f"empty argument in spec {text!r}")
+            try:
+                parsed.append(int(arg))
+            except ValueError:
+                parsed.append(parse(arg, depth + 1))
+        return make_presentation(name.strip(), *parsed)
+
+    return parse(text, 0)
 
 
 # --- bounded witness search --------------------------------------------------

@@ -46,6 +46,7 @@ __all__ = [
 
 DEFAULT_SEED = 20250809
 EDGE_PROBABILITIES = (0.2, 0.5, 0.8)
+_MIN_RANDOM_ORDER = 4
 # One G(100, 0.2) sample with its directory and lemma checks takes about
 # 0.05-0.15 s, G(150, 0.2) 2-3 s; past the cap the campaign's cost grows
 # with no bound a caller can see.
@@ -57,6 +58,8 @@ _MAX_RANDOM_ORDER = 100
 _MAX_RICHNESS_SETS = 1 << 17
 # Largest S whose common neighbourhood cross_validate_hh checks for HH.
 _CLOSURE_SET_MAX = 2
+# Largest order cross_validate_hh enumerates; order 8 adds 12,346 classes.
+_CROSS_VALIDATE_ORDER = 7
 
 
 @dataclass
@@ -261,36 +264,29 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 def verify_directory_lemmas_random(
-    count: int = 1000,
-    seed: int = DEFAULT_SEED,
-    max_order: int = 40,
-    min_order: int = 4,
-    edge_probs: tuple[float, ...] = EDGE_PROBABILITIES,
+    count: int = 1000, seed: int = DEFAULT_SEED, max_order: int = 40
 ) -> SuiteReport:
     """Run the directory lemmas over seeded random graphs.
 
-    Every graph with at least one edge admits a directory: the least
-    maximum independent set is independent, maximal, hence dominating.
-    Edgeless samples are redrawn.  A max_order above 100 raises ValueError
-    before any sampling.
+    Orders run from 4 to max_order and edge probabilities come from
+    EDGE_PROBABILITIES; edgeless samples are redrawn.  Every other graph
+    has a directory: the least maximum independent set is independent,
+    maximal, hence dominating.  A max_order below 4 or above 100 raises
+    ValueError before any sampling.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if max_order < max(min_order, 2):
-        raise ValueError(f"max_order {max_order} is below min_order {min_order} or below 2")
+    if max_order < _MIN_RANDOM_ORDER:
+        raise ValueError(f"max_order {max_order} is below {_MIN_RANDOM_ORDER}")
     if max_order > _MAX_RANDOM_ORDER:
         raise ValueError(f"max_order {max_order} exceeds the cap of {_MAX_RANDOM_ORDER}")
-    if not any(p > 0 for p in edge_probs) or not all(0 <= p <= 1 for p in edge_probs):
-        raise ValueError(
-            f"edge_probs must lie in [0, 1] with one above 0, got {edge_probs!r}"
-        )
     start = time.perf_counter()
     rng = random.Random(seed)
     failures: list[dict] = []
     graphs_checked = 0
     while graphs_checked < count:
-        n = rng.randint(min_order, max_order)
-        p = rng.choice(edge_probs)
+        n = rng.randint(_MIN_RANDOM_ORDER, max_order)
+        p = rng.choice(EDGE_PROBABILITIES)
         g = random_graph(rng, n, p)
         if g.edge_count() == 0:
             continue
@@ -310,7 +306,7 @@ def verify_directory_lemmas_random(
         instances=graphs_checked,
         failures=failures,
         elapsed=time.perf_counter() - start,
-        extra={"seed": seed, "max_order": max_order, "edge_probabilities": list(edge_probs)},
+        extra={"seed": seed, "max_order": max_order, "edge_probabilities": list(EDGE_PROBABILITIES)},
     )
 
 
@@ -475,8 +471,8 @@ def cross_validate_hh(n_max: int) -> SuiteReport:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if n_max > 7:
-        raise OrderTooLarge("cross validation is specified for orders up to 7")
+    if n_max > _CROSS_VALIDATE_ORDER:
+        raise OrderTooLarge(f"cross validation is specified for orders up to {_CROSS_VALIDATE_ORDER}")
     start = time.perf_counter()
     failures = []
     checked = 0

@@ -19,7 +19,7 @@ from homoglab.errors import (
     Undominated,
 )
 from homoglab.formats import read_graph, write_graph
-from homoglab.graphs import complete_graph, path_graph
+from homoglab.graphs import Graph, complete_graph, path_graph
 from homoglab.morphisms import canonical_code
 
 
@@ -93,6 +93,17 @@ class TestAnalyze:
 
     def test_missing_file(self, capsys):
         assert run(["analyze", "/nonexistent.g6"]) == 2
+
+    def test_search_past_the_recursion_limit_exits_four(self, tmp_path, capsys):
+        # The clique search recurses once per clique vertex, and alpha of
+        # K_{1,1199} is 1199: one line on stderr, no traceback.
+        target = str(tmp_path / "star.edges")
+        write_graph(Graph(1200, [(0, v) for v in range(1, 1200)]), target, "edges")
+        assert run(["analyze", target, "--format", "edges"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: maximum recursion depth exceeded")
+        assert captured.err.count("\n") == 1
 
     def test_edgelist_order_over_cap(self, tmp_path, capsys, monkeypatch):
         def no_graph(n, edges):
@@ -215,6 +226,13 @@ class TestWitness:
         )
         assert code == 3
         assert report["payload"]["result"]["status"] == "exhausted"
+
+    def test_spec_nested_too_deep_exits_two(self, capsys):
+        spec = "complement_of:" * 500 + "null"
+        assert run(["witness", spec, "--cone", "0", "--budget", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spec nests deeper than 64 levels\n"
 
     def test_exhausted_exits_three(self, capsys):
         code, report = run_json(

@@ -14,6 +14,7 @@ from homoglab.errors import NotADirectoryBase, StarNumberZero
 from homoglab.graphs import (
     Graph,
     address,
+    address_union,
     analyze,
     common_neighborhood,
     complement,
@@ -525,6 +526,24 @@ class TestAddress:
     def test_rejects_dependent(self):
         with pytest.raises(NotADirectoryBase):
             address(path_graph(3), [0, 1], 2)
+
+    def test_union_is_the_union_of_addresses(self):
+        rng = random.Random(2093)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 12), rng.choice((0.2, 0.5, 0.8)))
+            if g.edge_count() == 0:
+                continue
+            directory = directories(g)[0]
+            for _ in range(4):
+                xs = rng.sample(range(g.n), rng.randint(0, g.n))
+                union = set().union(*(address(g, directory, x) for x in xs))
+                assert address_union(g, directory, xs) == sorted(union)
+
+    def test_union_rejects_a_bad_index_set(self):
+        with pytest.raises(NotADirectoryBase, match="dominate"):
+            address_union(path_graph(4), [0], [2])
+        with pytest.raises(NotADirectoryBase, match="independent"):
+            address_union(path_graph(3), [0, 1], [2])
 
     @given(graphs())
     @settings(max_examples=40)

@@ -87,9 +87,13 @@ class TestAge:
                 assert canonical_code(sub) == cls.code
 
     def test_embedding_cap(self):
-        classes = age(complete_graph(5), 2, embedding_cap=3)
-        for cls in classes:
-            assert len(cls.embeddings) <= 3
+        # There is no embedding cap: every embedding is listed, and the
+        # keyword is gone.
+        classes = age(complete_graph(5), 2)
+        assert [len(cls.embeddings) for cls in classes] == [5, 10]
+        assert classes == list(kk_okk(complete_graph(5), 2).classes)
+        with pytest.raises(TypeError):
+            age(complete_graph(5), 2, embedding_cap=3)
 
     def test_size_cap(self):
         with pytest.raises(OrderTooLarge):
@@ -99,19 +103,9 @@ class TestAge:
         # A negative k used to give an empty age, and with it a false HH
         # verdict for P5 from the conditions decider.
         g = path_graph(5)
-        for call in (
-            lambda: age(g, -1),
-            lambda: kk_okk(g, -1),
-            lambda: decide_hh_conditions(g, k=-3),
-        ):
+        for call in (lambda: age(g, -1), lambda: kk_okk(g, -1)):
             with pytest.raises(ValueError, match="k must be at least 0"):
                 call()
-
-    def test_negative_embedding_cap_rejected(self):
-        # Slicing with -1 used to drop the last embedding silently.
-        with pytest.raises(ValueError, match="embedding_cap"):
-            age(complete_graph(3), 2, embedding_cap=-1)
-        assert [len(c.embeddings) for c in age(complete_graph(3), 2, embedding_cap=0)] == [0, 0]
 
 
 class TestKkOkk:
@@ -354,21 +348,15 @@ class TestDecideConditions:
         assert report.counterexample["upper_code"] == canonical_code(empty_graph(2))
         assert report.counterexample["lower_code"] == canonical_code(complete_graph(2))
 
-    def test_partial_age_says_so(self):
+    def test_whole_age_always_read(self):
         # P5 is not HH, yet its age up to one vertex passes both conditions;
-        # the positive verdict names the part of the age it covers.
+        # the conditions route always reads the whole age, so it says no.
         g = path_graph(5)
         assert not decide_xy(g, "H", "H").verdict
-        for k in (0, 1):
-            report = decide_hh_conditions(g, k=k)
-            assert report.verdict
-            assert f"at most {k} vertices of an order-5 graph" in report.note
-        # The whole age needs no note, whether k is given or not.
-        assert decide_hh_conditions(g, k=5) == decide_hh_conditions(g)
-        assert decide_hh_conditions(complete_graph(4), k=4).note is None
+        assert not decide_hh_conditions(g).verdict
         assert decide_hh_conditions(complete_graph(4)).note is None
-        # A counterexample found in a partial age is a real one.
-        assert decide_hh_conditions(path_graph(7), k=2).note is None
+        with pytest.raises(TypeError):
+            decide_hh_conditions(g, k=1)
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)

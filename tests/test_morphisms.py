@@ -319,24 +319,29 @@ class TestCanonicalCode:
             assert canonical_code(c5.relabel(perm)) == canonical_code(c5)
 
     def test_order_cap(self):
+        # The format limit of 17 is the only cap, with no override: order
+        # 11 gets a code and order 18 is refused.
+        assert canonical_code(empty_graph(11)) == bytes([11]) + bytes(22)
+        g = random_graph(random.Random(11), 11, 0.5)
+        assert canonical_code(_shuffled(g, random.Random(12))) == canonical_code(g)
         with pytest.raises(OrderTooLarge):
-            canonical_code(empty_graph(11))
+            canonical_code(empty_graph(18))
+        with pytest.raises(TypeError):
+            canonical_code(empty_graph(11), max_order=11)
 
     def test_format_limit(self):
         # Each column is packed into 2 bytes, so the format holds at most
-        # 17 vertices; a larger graph is refused before any search,
-        # whatever max_order says.
+        # 17 vertices; a larger graph is refused before any search.
         g = random_graph(random.Random(3), 18, 0.5)
-        for max_order in (18, 100):
-            with pytest.raises(OrderTooLarge, match="at most 17 vertices, got 18"):
-                canonical_code(g, max_order=max_order)
+        with pytest.raises(OrderTooLarge, match="at most 17 vertices, got 18"):
+            canonical_code(g)
         # Order 17 fits; this dense graph keeps the search short.
         g = random_graph(random.Random(3), 17, 0.7)
-        code = canonical_code(g, max_order=17)
+        code = canonical_code(g)
         assert len(code) == 1 + 2 * 17
         perm = list(range(17))
         random.Random(4).shuffle(perm)
-        assert canonical_code(g.relabel(perm), max_order=17) == code
+        assert canonical_code(g.relabel(perm)) == code
 
     def test_matches_reference_on_every_class_up_to_order_7(self):
         rng = random.Random(1907)
@@ -413,15 +418,15 @@ class TestCanonicalCode:
     def test_closed_forms_at_order_17(self):
         # The plain search walks 17! orderings on I17 and K17; the twin
         # rule walks one.  Column k is 0 on I17 and 2^k - 1 on K17.
-        assert canonical_code(empty_graph(17), max_order=17) == bytes([17]) + bytes(34)
+        assert canonical_code(empty_graph(17)) == bytes([17]) + bytes(34)
         k17 = bytes([17]) + b"".join(((1 << k) - 1).to_bytes(2, "big") for k in range(17))
-        assert canonical_code(complete_graph(17), max_order=17) == k17
+        assert canonical_code(complete_graph(17)) == k17
         rng = random.Random(1717)
         k4_of_i4 = lex_product(complete_graph(4), empty_graph(4))
         for g in (clique_union((4, 4, 4, 4, 1)), k4_of_i4):
-            code = canonical_code(g, max_order=17)
+            code = canonical_code(g)
             for _ in range(3):
-                assert canonical_code(_shuffled(g, rng), max_order=17) == code
+                assert canonical_code(_shuffled(g, rng)) == code
 
     @given(graphs(max_n=5), graphs(max_n=5))
     @settings(max_examples=60)
@@ -449,6 +454,8 @@ class TestEnumeration:
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
             next(enumerate_graphs(9))
+        with pytest.raises(TypeError):
+            enumerate_graphs(9, max_order=9)
 
     def test_deterministic_order(self):
         first = [canonical_code(g) for g in enumerate_graphs(5)]

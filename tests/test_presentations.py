@@ -151,6 +151,16 @@ class TestFamilies:
         with pytest.raises(BadParams):
             parse_spec("mystery:7")
 
+    def test_nesting_depth_capped(self):
+        # 500 levels of complement_of overflowed Python's recursion limit
+        # in the first refuter call; 64 levels are accepted.
+        assert truncate(parse_spec("complement_of:" * 64 + "null"), 4) == empty_graph(4)
+        odd = parse_spec("complement_of(" * 63 + "null" + ")" * 63)
+        assert truncate(odd, 4) == complete_graph(4)
+        for spec in ("complement_of:" * 65 + "null", "lex(null," * 65 + "null" + ")" * 65):
+            with pytest.raises(BadParams, match="deeper than 64 levels"):
+                parse_spec(spec)
+
     def test_truncate_zero(self):
         assert truncate(make_presentation("rado_bit"), 0) == empty_graph(0)
 

@@ -18,6 +18,7 @@ from homoglab.graphs import (
 )
 from homoglab.presentations import make_presentation, truncate
 from homoglab.verify import (
+    EDGE_PROBABILITIES,
     cross_validate_hh,
     find_triangle_dom2,
     random_graph,
@@ -227,24 +228,38 @@ class TestEmptyRuns:
                 verify_directory_lemmas_random(count=count)
 
     def test_random_lemmas_need_an_order_range_with_edges(self):
-        with pytest.raises(ValueError, match="max_order"):
-            verify_directory_lemmas_random(count=1, max_order=3)
-        with pytest.raises(ValueError, match="max_order"):
-            verify_directory_lemmas_random(count=1, min_order=1, max_order=1)
+        # Orders start at 4, so max_order must reach it; order-1 samples are
+        # all edgeless and would be redrawn forever.
+        for max_order in (3, 1, 0, -5):
+            with pytest.raises(ValueError, match="max_order"):
+                verify_directory_lemmas_random(count=1, max_order=max_order)
+        report = verify_directory_lemmas_random(count=2, max_order=4)
+        assert report.passed and report.instances == 2
 
     def test_random_lemmas_order_is_capped(self):
         with pytest.raises(ValueError, match="max_order"):
             verify_directory_lemmas_random(count=1, max_order=101)
-        report = verify_directory_lemmas_random(count=1, min_order=100, max_order=100)
+        report = verify_directory_lemmas_random(count=1, max_order=100)
         assert report.passed and report.instances == 1
 
-    def test_random_lemmas_need_an_edge_probability_above_zero(self):
-        nan = float("nan")
-        for edge_probs in ((), (0.0,), (0.0, 0.0), (0.5, 1.5), (-0.1, 0.5), (nan,)):
-            with pytest.raises(ValueError, match="edge_probs"):
-                verify_directory_lemmas_random(count=1, max_order=6, edge_probs=edge_probs)
-        report = verify_directory_lemmas_random(count=2, max_order=6, edge_probs=(0.0, 1.0))
-        assert report.instances == 2
+    def test_random_lemmas_sample_fixed_ranges(self, monkeypatch):
+        # Orders run from 4 to max_order and edge probabilities come from
+        # EDGE_PROBABILITIES, with no override; the report lists both.
+        drawn = []
+        sample = verify.random_graph
+        monkeypatch.setattr(
+            verify,
+            "random_graph",
+            lambda rng, n, p: drawn.append((n, p)) or sample(rng, n, p),
+        )
+        report = verify_directory_lemmas_random(count=40, seed=3, max_order=7)
+        assert report.extra["edge_probabilities"] == list(EDGE_PROBABILITIES)
+        assert report.extra["max_order"] == 7
+        assert {n for n, _ in drawn} == {4, 5, 6, 7}
+        assert {p for _, p in drawn} == set(EDGE_PROBABILITIES)
+        for keyword in ("min_order", "edge_probs"):
+            with pytest.raises(TypeError):
+                verify_directory_lemmas_random(count=1, max_order=6, **{keyword: 4})
 
     def test_cross_validation_needs_an_order(self):
         for n_max in (0, -2):
