@@ -87,13 +87,18 @@ class TestAge:
                 assert canonical_code(sub) == cls.code
 
     def test_embedding_cap(self):
-        # There is no embedding cap: every embedding is listed, and the
-        # keyword is gone.
+        # There is no embedding cap: every embedding is listed.
         classes = age(complete_graph(5), 2)
         assert [len(cls.embeddings) for cls in classes] == [5, 10]
         assert classes == list(kk_okk(complete_graph(5), 2).classes)
-        with pytest.raises(TypeError):
-            age(complete_graph(5), 2, embedding_cap=3)
+
+    def test_negative_embedding_cap_rejected(self):
+        # Slicing with -1 used to drop the last embedding silently; the
+        # keyword is gone, so every cap is refused and nothing is dropped.
+        for cap in (-1, 0, 3):
+            with pytest.raises(TypeError):
+                age(complete_graph(3), 2, embedding_cap=cap)
+        assert [len(c.embeddings) for c in age(complete_graph(3), 2)] == [3, 3]
 
     def test_size_cap(self):
         with pytest.raises(OrderTooLarge):
