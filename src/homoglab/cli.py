@@ -15,15 +15,17 @@ import sys
 
 from . import __version__
 from .errors import BadParams, BudgetExhausted, HomoglabError, InternalInvariant
-from .formats import read_graph, write_graph
+from .formats import FORMATS, read_graph, write_graph
 from .graphs import analyze, independence_number
 from .homogeneity import (
     _ORDER_LIMIT,
+    X_KINDS,
     AgePartition,
     decide_hh_conditions,
     decide_xy,
     kk_okk,
 )
+from .morphisms import KINDS
 from .presentations import (
     classify_mb,
     extension_witness,
@@ -98,13 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="independence, star number, directories, age partition")
     p.add_argument("file")
-    p.add_argument("--format", choices=("graph6", "edges"), default="graph6")
+    p.add_argument("--format", choices=FORMATS, default="graph6")
 
     p = sub.add_parser("check", help="decide XY-homogeneity of a finite graph")
     p.add_argument("file")
-    p.add_argument("--format", choices=("graph6", "edges"), default="graph6")
-    p.add_argument("--x", required=True, choices=tuple("HMI"))
-    p.add_argument("--y", required=True, choices=tuple("HMEBAI"))
+    p.add_argument("--format", choices=FORMATS, default="graph6")
+    p.add_argument("--x", required=True, choices=X_KINDS)
+    p.add_argument("--y", required=True, choices=KINDS)
     p.add_argument("--method", choices=("direct", "conditions"), default="direct")
     p.add_argument("--expect", choices=("yes", "no"))
 
@@ -112,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--truncate", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--format", choices=("graph6", "edges"), default="graph6")
+    p.add_argument("--format", choices=FORMATS, default="graph6")
 
     p = sub.add_parser("witness", help="bounded cone/co-cone witness search")
     p.add_argument("spec")

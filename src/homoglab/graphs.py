@@ -134,26 +134,16 @@ def _masks_valid_packed(masks: tuple[int, ...]) -> bool:
     return _transpose_packed(m, size) == m
 
 
-class _Profile:
-    """alpha and the (sigma, least vertex) pair of one graph, each None
-    until a search finds it.  The values depend only on the graph, so
-    threads that race on a profile can only repeat a search."""
-
-    __slots__ = ("alpha", "star")
-
-    def __init__(self) -> None:
-        self.alpha: int | None = None
-        self.star: tuple[int, int] | None = None
-
-
 class Graph:
     """An immutable simple graph: symmetric irreflexive adjacency on 0..n-1.
 
-    _profile memoises alpha and sigma (see _Profile); it is None until the
-    first search and takes no part in equality, hashing or repr.
+    _alpha_memo holds alpha and _star_memo the (sigma, least vertex) pair,
+    each None until a search finds it.  They depend only on the graph, so
+    threads that race on one can only repeat a search, and they take no
+    part in equality, hashing or repr.
     """
 
-    __slots__ = ("n", "_adj", "_profile")
+    __slots__ = ("n", "_adj", "_alpha_memo", "_star_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -168,7 +158,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self._profile = None
+        self._alpha_memo = self._star_memo = None
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "Graph":
@@ -186,7 +176,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g._adj = masks
-        g._profile = None
+        g._alpha_memo = g._star_memo = None
         return g
 
     @property
@@ -390,10 +380,10 @@ def is_connected(g: Graph) -> bool:
 #
 # Each public call builds the view afresh; only the numbers it yields,
 # alpha and the (sigma, least vertex) pair, are kept in the graph's
-# _profile, so no graph searches for either twice.  The view is not kept:
-# on an order-36 graph it holds about 2.3 KB for as long as the graph
-# lives, which a caller holding many graphs pays for in memory, while a
-# rebuild costs tens of microseconds.
+# _alpha_memo and _star_memo slots, so no graph searches for either twice.
+# The view is not kept: on an order-36 graph it holds about 2.3 KB for as
+# long as the graph lives, which a caller holding many graphs pays for in
+# memory, while a rebuild costs tens of microseconds.
 
 
 def _complement_view(g: Graph) -> tuple[tuple[int, ...], list[int], list[int]]:
@@ -541,37 +531,23 @@ def _lex_least_clique(
     return chosen
 
 
-def _profile(g: Graph) -> _Profile:
-    profile = g._profile
-    if profile is None:
-        profile = g._profile = _Profile()
-    return profile
-
-
 def _alpha(g: Graph, co: tuple[int, ...] | None = None) -> int:
     """alpha(g) without a witness, searched once per graph; co is g's
     complement view when the caller has built it."""
-    profile = _profile(g)
-    if profile.alpha is None:
+    if g._alpha_memo is None:
         if co is None:
             co = _complement_view(g)[0]
-        profile.alpha = _max_clique_size(co, (1 << g.n) - 1)
-    return profile.alpha
+        g._alpha_memo = _max_clique_size(co, (1 << g.n) - 1)
+    return g._alpha_memo
 
 
 def _star(g: Graph, view: tuple | None = None) -> tuple[int, int]:
     """sigma(g) and the least vertex attaining it, searched once per graph;
     view is g's complement view when the caller has built it."""
-    profile = _profile(g)
-    if profile.star is None:
+    if g._star_memo is None:
         co, _, pos = view or _complement_view(g)
-        profile.star = _star_vertex(co, pos)
-    return profile.star
-
-
-def _sigma(g: Graph) -> int:
-    """sigma(g) without a witness."""
-    return _star(g)[0]
+        g._star_memo = _star_vertex(co, pos)
+    return g._star_memo
 
 
 def independence_number(g: Graph) -> tuple[int, list[int]]:
@@ -663,7 +639,7 @@ def is_directory(g: Graph, i: Iterable[int], relaxed: bool = False) -> bool:
     if not is_independent_dominating(g, iset):
         return False
     if relaxed:
-        return len(iset) >= 2 * _sigma(g) - 1
+        return len(iset) >= 2 * _star(g)[0] - 1
     return len(iset) == _alpha(g)
 
 

@@ -71,7 +71,7 @@ __all__ = [
     "decide_hh_conditions",
 ]
 
-X_KINDS = "HMI"
+X_KINDS = tuple("HMI")
 
 
 @dataclass(frozen=True)

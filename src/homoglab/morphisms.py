@@ -31,7 +31,7 @@ __all__ = [
     "enumerate_graphs",
 ]
 
-KINDS = "HMEBAI"
+KINDS = tuple("HMEBAI")
 
 
 @dataclass(frozen=True)

@@ -777,11 +777,13 @@ def spanning_rado(p: Presentation, n: int, budget: int) -> RadoConstruction:
     Requirement witnesses are fresh host cones over A: the least unplaced
     vertex adjacent to all of A.  Only witness-to-A edges enter the
     selection, so B sides hold automatically and permanently.  Raises
-    BadParams for negative n, and BudgetExhausted naming the first
-    requirement whose cone search is refuted or runs out of budget.
+    BadParams for negative n or budget, and BudgetExhausted naming the
+    first requirement whose cone search is refuted or runs out of budget.
     """
     if n < 0:
         raise BadParams(f"n must be non-negative, got {n}")
+    if budget < 0:
+        raise BadParams(f"budget must be non-negative, got {budget}")
     placed: list[int] = []
     placed_set: set[int] = set()
     selected: list[tuple[int, int]] = []

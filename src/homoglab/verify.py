@@ -22,7 +22,7 @@ from .graphs import (
     _iter_bits,
     _list_of,
     _require_base,
-    _sigma,
+    _star,
     domination_number,
     independence_number,
     induced_subgraph,
@@ -159,7 +159,7 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
     """
     start = time.perf_counter()
     imask = _require_base(g, i)
-    sigma = _sigma(g)
+    sigma = _star(g)[0]
     if sigma < 1:
         raise StarNumberZero("directory lemmas need star number at least 1")
     masks = g.masks
@@ -321,7 +321,7 @@ def verify_neighbor_richness(g: Graph, i, threshold: int) -> SuiteReport:
     """
     start = time.perf_counter()
     imask = _require_base(g, i)
-    sigma = _sigma(g)
+    sigma = _star(g)[0]
     if sigma < 1:
         raise StarNumberZero("richness checks need star number at least 1")
     count = comb(imask.bit_count(), sigma)
@@ -382,7 +382,7 @@ class TriangleSearchResult:
 def find_triangle_dom2(g: Graph, i) -> TriangleSearchResult:
     """Least triangle whose domination number over the index set is 2."""
     _require_base(g, i)
-    sigma = _sigma(g)
+    sigma = _star(g)[0]
     if sigma < 2:
         return TriangleSearchResult(
             None, None, f"star number is {sigma}; the statement assumes at least 2"
@@ -421,7 +421,7 @@ def verify_alpha_bound_family(
                 raise ValueError("clique parts need at least 2 vertices")
             g = rs_truncation(n, m)
             alpha = _alpha(g)
-            sigma = _sigma(g)
+            sigma = _star(g)[0]
             bound = 2 * sigma + ceil(sigma / 2) - 1
             checked += 1
             rows.append(

@@ -263,6 +263,12 @@ class TestRadoSpan:
         assert run(["rado-span", "rado_bit", "--n", "-3"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_negative_budget_rejected(self, capsys):
+        assert run(["rado-span", "rado_bit", "--n", "3", "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestClassify:
     def test_rado(self, capsys):

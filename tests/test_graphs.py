@@ -682,7 +682,7 @@ def _run_calls(g, order):
 
 class TestProfile:
     """alpha and sigma are searched once per graph value and kept in its
-    private profile; results never depend on whether it is filled."""
+    private memo slots; results never depend on whether they are filled."""
 
     def test_directories_reuse_alpha(self, monkeypatch):
         g = random_graph(random.Random(5), 30, 0.2)
@@ -700,7 +700,7 @@ class TestProfile:
         first = star_number(g)
         calls = _count_calls(monkeypatch, "_star_vertex")
         assert star_number(g) == first
-        assert graph_module._sigma(g) == first[0]
+        assert graph_module._star(g)[0] == first[0]
         alpha, witness = independence_number(g)
         assert is_directory(g, witness, relaxed=True) == (alpha >= 2 * first[0] - 1)
         assert calls == []
@@ -717,10 +717,10 @@ class TestProfile:
 
     def test_new_graphs_start_cold(self):
         g = random_graph(random.Random(2), 12, 0.3)
-        assert g._profile is None
+        assert g._alpha_memo is None and g._star_memo is None
         independence_number(g)
         star_number(g)
-        assert g._profile.alpha is not None and g._profile.star is not None
+        assert g._alpha_memo is not None and g._star_memo is not None
         made = [
             g.relabel(list(range(g.n))),
             complement(g),
@@ -730,13 +730,14 @@ class TestProfile:
         ]
         for h in made:
             assert h == g or h == complement(g)
-            assert h._profile is None
+            assert h._alpha_memo is None and h._star_memo is None
 
     def test_warm_equals_cold(self):
         g = random_graph(random.Random(3), 15, 0.3)
         cold = Graph(g.n, g.edges())
         analyze(g)
-        assert g._profile is not None and cold._profile is None
+        assert g._alpha_memo is not None and g._star_memo is not None
+        assert cold._alpha_memo is None and cold._star_memo is None
         assert g == cold and hash(g) == hash(cold) and repr(g) == repr(cold)
         assert len({g, cold}) == 1
 
@@ -762,9 +763,9 @@ class TestProfile:
 
 
 # SHA-256 of alpha, sigma and directories with their witnesses and the
-# analyze report, recorded before the profile memo and the reuse of probe
-# completions existed.  Any change to a result or its witness shows here,
-# whether the graph's profile is cold or warm.
+# analyze report, recorded before the alpha/sigma memo and the reuse of
+# probe completions existed.  Any change to a result or its witness shows
+# here, whether the graph's memo slots are cold or warm.
 _RECORDED_PROFILE_DIGEST = "06aed563b8012a8db8d03b6a423d6a8d1b23781d81a335fa63cb91d2b42d7c29"
 
 

@@ -211,6 +211,10 @@ class TestDecideXY:
             decide_xy(complete_graph(2), "E", "H")
         with pytest.raises(ValueError):
             decide_xy(complete_graph(2), "H", "X")
+        # A kind is one letter, not any substring of the kind list.
+        for x, y in [("", "H"), ("HM", "H"), ("H", ""), ("H", "EBA")]:
+            with pytest.raises(ValueError, match="kind must be one of"):
+                decide_xy(cycle_graph(5), x, y)
 
     def test_order_cap(self):
         # One cap of 10 for every cell, with no override: above it the

@@ -263,6 +263,11 @@ class TestExtendsIn:
         with pytest.raises(SeedNotLocalMorphism):
             extends_in(path_graph(3), PartialMap([(0, 0), (1, 2)]), "H")
 
+    def test_kind_is_one_letter_of_kinds(self):
+        for kind in ("", "HM", "X"):
+            with pytest.raises(ValueError, match="kind must be one of"):
+                extends_in(path_graph(3), PartialMap([(0, 0)]), kind)
+
     def test_b_equals_a(self):
         cases = [
             (cycle_graph(5), PartialMap([(0, 1)])),

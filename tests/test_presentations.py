@@ -281,6 +281,11 @@ class TestSpanningConstruction:
         c = spanning_rado(make_presentation("rado_bit"), 0, 64)
         assert c.placed == () and c.schedule == ()
 
+    def test_negative_budget_rejected(self):
+        for n in (0, 3):
+            with pytest.raises(BadParams, match="budget"):
+                spanning_rado(make_presentation("rado_bit"), n, -1)
+
     def test_rado_replays(self):
         p = make_presentation("rado_bit")
         c = spanning_rado(p, 12, 1 << 16)

@@ -119,3 +119,93 @@ def test_one_local_morphism_rule():
         if isinstance(node, ast.FunctionDef) and node.name == "_targets"
     ]
     assert [f.split(":")[0] for f in found] == ["morphisms.py"], found
+
+
+MODULES = ("errors", "formats", "graphs", "homogeneity", "morphisms", "presentations", "verify")
+
+# Every public name the package exported before it re-exported each
+# module's __all__; none may leave it.
+EARLIER_NAMES = set(
+    """
+    AgeClass AgePartition AnalysisReport BadParams BudgetExhausted
+    ClassificationReport Conflict FormatError Graph HomogReport HomoglabError
+    InternalInvariant MorphismConstraints NotADirectoryBase OrderTooLarge
+    PartialMap Presentation PropertyReport RadoConstruction Requirement
+    SeedNotLocalMorphism StarNumberZero SuiteReport Undominated WitnessResult
+    address address_union age analyze canonical_code check_property_bounded
+    classify_mb common_neighborhood complement complete_graph cone_set
+    cross_validate_hh cycle_graph decide_hh_conditions decide_xy directories
+    disjoint_union domination_number empty_graph enumerate_graphs
+    exact_neighborhood extends_in extension_witness find_triangle_dom2
+    graph_from_edgelist graph_from_graph6 graph_to_edgelist graph_to_graph6
+    independence_number induced_subgraph is_connected is_directory
+    is_independent is_independent_dominating kk_okk lex_product
+    make_presentation parse_spec path_graph preceq read_graph rs_truncation
+    search_morphism spanning_rado star_number truncate validate_total_map
+    verify_alpha_bound_family verify_directory_lemmas
+    verify_directory_lemmas_random verify_neighbor_richness write_graph
+    """.split()
+) | set(MODULES)
+
+
+def _module(name):
+    return getattr(homoglab, name)
+
+
+def _public_names():
+    return {name for name in dir(homoglab) if not name.startswith("_")}
+
+
+def _error_classes():
+    return {
+        name: value
+        for name, value in vars(homoglab.errors).items()
+        if isinstance(value, type) and issubclass(value, homoglab.HomoglabError)
+    }
+
+
+def test_each_module_list_is_exported_as_is():
+    for module_name in MODULES[1:]:
+        module = _module(module_name)
+        for name in module.__all__:
+            assert name in vars(module), f"{module_name}.{name} is not defined"
+            assert getattr(homoglab, name) is vars(module)[name], f"{module_name}.{name}"
+    for name, cls in _error_classes().items():
+        assert getattr(homoglab, name) is cls, name
+
+
+def test_package_names_are_the_module_lists():
+    listed = set().union(*(_module(m).__all__ for m in MODULES[1:]))
+    submodules = {
+        name
+        for name in _public_names()
+        if type(_module(name)) is type(homoglab)
+        and _module(name).__name__ == f"homoglab.{name}"
+    }
+    assert set(MODULES) <= submodules
+    assert _public_names() == listed | set(_error_classes()) | submodules
+    assert homoglab.__version__
+
+
+def test_no_earlier_name_left_the_package():
+    assert not EARLIER_NAMES - _public_names()
+
+
+def test_cli_choices_are_the_module_constants():
+    from homoglab.cli import _build_parser
+    from homoglab.formats import FORMATS
+    from homoglab.homogeneity import X_KINDS
+    from homoglab.morphisms import KINDS
+
+    expected = {"--x": X_KINDS, "--y": KINDS, "--format": FORMATS}
+    seen = dict.fromkeys(expected, 0)
+    parsers = [_build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action.choices, dict):  # the subcommands
+                parsers.extend(action.choices.values())
+            for option in set(action.option_strings) & set(expected):
+                assert tuple(action.choices) == tuple(expected[option]), option
+                seen[option] += 1
+    assert seen == {"--x": 1, "--y": 1, "--format": 3}

@@ -61,7 +61,7 @@ class TestDirectoryLemmas:
         assert verify_alpha_bound_family([3, 4]).passed
 
     def test_sigma_is_read_from_the_profile(self, monkeypatch):
-        # star_number keeps sigma in the graph's profile, so the suite
+        # star_number keeps sigma in the graph's memo slot, so the suite
         # finds it there instead of searching every neighbourhood again.
         g = random_graph(random.Random(12), 24, 0.3)
         sigma, _ = star_number(g)
@@ -156,7 +156,7 @@ class TestLemmaOracle:
     def test_directory_lemmas_match_oracle(self, oracle_cases, monkeypatch):
         clauses = set()
         for g, base, sigma in oracle_cases:
-            monkeypatch.setattr(verify, "_sigma", lambda g, s=sigma: s)
+            monkeypatch.setattr(verify, "_star", lambda g, s=sigma: (s, 0))
             report = verify_directory_lemmas(g, base)
             assert (report.instances, report.failures) == brute_directory_lemmas(
                 g, base, sigma
@@ -172,7 +172,7 @@ class TestLemmaOracle:
     def test_dense_directory_lemmas_match_oracle(self, dense_oracle_cases, monkeypatch):
         clauses = set()
         for g, base, sigma in dense_oracle_cases:
-            monkeypatch.setattr(verify, "_sigma", lambda g, s=sigma: s)
+            monkeypatch.setattr(verify, "_star", lambda g, s=sigma: (s, 0))
             report = verify_directory_lemmas(g, base)
             assert (report.instances, report.failures) == brute_directory_lemmas(
                 g, base, sigma
@@ -197,7 +197,7 @@ class TestLemmaOracle:
         )
         walks = {True: set(), False: set()}
         for g, base, sigma in dense_oracle_cases:
-            monkeypatch.setattr(verify, "_sigma", lambda g, s=sigma: s)
+            monkeypatch.setattr(verify, "_star", lambda g, s=sigma: (s, 0))
             calls.clear()
             report = verify_directory_lemmas(g, base)
             stray = any(f["clause"] == "cone-address-intersects" for f in report.failures)
@@ -212,7 +212,7 @@ class TestLemmaOracle:
     def test_richness_matches_oracle(self, oracle_cases, monkeypatch):
         shortfalls = 0
         for g, base, sigma in oracle_cases:
-            monkeypatch.setattr(verify, "_sigma", lambda g, s=sigma: s)
+            monkeypatch.setattr(verify, "_star", lambda g, s=sigma: (s, 0))
             report = verify_neighbor_richness(g, base, 2)
             assert (report.instances, report.failures) == brute_neighbor_richness(
                 g, base, sigma, 2
