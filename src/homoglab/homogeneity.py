@@ -10,6 +10,8 @@ Two independent routes decide HH-homogeneity of a finite graph:
 * decide_hh_conditions tests the combinatorial characterization: no age
   class may have both a coned and a cone-free embedding, and the coned part
   of the age must be upward closed under the surjective-homomorphism order.
+  It reads the age one subset size at a time and stops after the first
+  size with a class of both kinds; a pass reads the whole age.
 
 Agreement of the two on every small graph is part of the acceptance suite.
 
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OrderTooLarge
-from .graphs import Graph, _induced_masks, _iter_bits
+from .graphs import Graph, _iter_bits
 from .morphisms import (
     KINDS,
     MorphismConstraints,
@@ -139,15 +141,14 @@ class HomogReport:
 _ORDER_LIMIT = 10
 
 
-def _cone_table(g: Graph, k: int) -> dict[int, int]:
-    """The common neighbours of every vertex set of at most k vertices,
-    keyed by the set's mask; the empty set's are all vertices.  Vertex v
-    extends each set already listed that has room, so no set is built
-    twice."""
+def _cone_table(g: Graph) -> dict[int, int]:
+    """The common neighbours of every vertex set, keyed by the set's mask;
+    the empty set's are all vertices.  Vertex v extends each set already
+    listed, so no set is built twice."""
     cones = {0: (1 << g.n) - 1}
     for v, row in enumerate(g.masks):
         bit = 1 << v
-        cones.update([(s | bit, c & row) for s, c in cones.items() if s.bit_count() < k])
+        cones.update([(s | bit, c & row) for s, c in cones.items()])
     return cones
 
 
@@ -156,14 +157,20 @@ def age(g: Graph, k: int) -> list[AgeClass]:
     return list(kk_okk(g, k).classes)
 
 
-def kk_okk(g: Graph, k: int) -> AgePartition:
-    """Classify every age class by cone existence over its embeddings.
+def _age_levels(g: Graph, k: int):
+    """Yield, for each subset size s = 1..k in turn, the age classes of
+    size s: a dict keyed by code holding each class's first induced
+    subgraph, its embeddings, its first coned embedding with its least cone
+    vertex, and its first coneless embedding.
 
-    One table keyed by code holds each class's first induced subgraph, its
-    embeddings, its first coned embedding with its least cone vertex, and
-    its first coneless embedding.  A code's first byte is its order, so
-    sorting by code alone lists the classes by order.  Conflict detection
-    always scans every embedding of every class.
+    Each subset of size s + 1 is a subset of size s plus one vertex above
+    its largest.  Its induced masks are the parent's, each with one bit
+    for the new vertex, plus the new vertex's row, and its cone is the
+    parent's cone within the new vertex's neighbours.  Parents are walked
+    in the order they were made and new vertices in ascending order, so
+    the subsets of each size come in combinations order, and every
+    embedding list and first witness is the one a scan of
+    combinations(range(n), s) finds.
     """
     if k < 0:
         raise ValueError(f"age size k must be at least 0, got {k}")
@@ -171,22 +178,44 @@ def kk_okk(g: Graph, k: int) -> AgePartition:
         raise OrderTooLarge(f"age size {k} exceeds order {g.n}")
     if k > _ORDER_LIMIT:
         raise OrderTooLarge(f"age computation capped at size {_ORDER_LIMIT}, got {k}")
-    cones = _cone_table(g, k)
-    table: dict[bytes, list] = {}
-    for size in range(1, k + 1):
-        for comb in combinations(range(g.n), size):
-            sig = _induced_masks(g.masks, comb)
-            code = _code(sig)
-            entry = table.get(code)
-            if entry is None:
-                entry = table[code] = [sig, [], None, None]
-            entry[1].append(comb)
-            cone_mask = cones[sum(1 << v for v in comb)]
-            if cone_mask:
-                if entry[2] is None:
-                    entry[2] = (comb, next(_iter_bits(cone_mask)))
-            elif entry[3] is None:
-                entry[3] = comb
+    adj = g.masks
+    subsets = [((), (), (1 << g.n) - 1)]
+    for size in range(k):
+        bit = 1 << size
+        grown = []
+        level: dict[bytes, list] = {}
+        for comb, sig, cone in subsets:
+            for v in range(comb[-1] + 1 if comb else 0, g.n):
+                row = adj[v]
+                rows = []
+                new_row = 0
+                for i, u in enumerate(comb):
+                    if row >> u & 1:
+                        rows.append(sig[i] | bit)
+                        new_row |= 1 << i
+                    else:
+                        rows.append(sig[i])
+                rows.append(new_row)
+                sub, sub_sig, sub_cone = comb + (v,), tuple(rows), cone & row
+                grown.append((sub, sub_sig, sub_cone))
+                code = _code(sub_sig)
+                entry = level.get(code)
+                if entry is None:
+                    entry = level[code] = [sub_sig, [], None, None]
+                entry[1].append(sub)
+                if sub_cone:
+                    if entry[2] is None:
+                        entry[2] = (sub, (sub_cone & -sub_cone).bit_length() - 1)
+                elif entry[3] is None:
+                    entry[3] = sub
+        subsets = grown
+        yield level
+
+
+def _partition(table: dict[bytes, list]) -> AgePartition:
+    """The AgePartition of a table of _age_levels entries.  A code's first
+    byte is its order, so sorting by code alone lists the classes by
+    order."""
     classes = []
     conflicts = []
     for code in sorted(table):
@@ -200,6 +229,15 @@ def kk_okk(g: Graph, k: int) -> AgePartition:
         conflicts=tuple(conflicts),
         classes=tuple(classes),
     )
+
+
+def kk_okk(g: Graph, k: int) -> AgePartition:
+    """Classify every age class of size <= k by cone existence over its
+    embeddings; every embedding of every class is scanned."""
+    table: dict[bytes, list] = {}
+    for level in _age_levels(g, k):
+        table.update(level)
+    return _partition(table)
 
 
 _SURJECTIVE = MorphismConstraints(surjective=True)
@@ -285,7 +323,7 @@ def _decide_hh_direct(g: Graph) -> HomogReport:
     least failing map is unchanged.  The full vertex set is coneless, so on
     K_n no map is walked.
     """
-    cones = _cone_table(g, g.n)
+    cones = _cone_table(g)
     smallest = min(mask.bit_count() for mask, cone in cones.items() if not cone)
 
     for domain in _domains(g.n):
@@ -434,13 +472,24 @@ def _conditions_failure(part: AgePartition) -> dict | None:
 
 
 def decide_hh_conditions(g: Graph) -> HomogReport:
-    """HH verdict through the whole age partition, capped at order 10.
+    """HH verdict through the age partition, capped at order 10.
 
     Condition 1: no age class has both a coned and a cone-free embedding.
     Condition 2: the coned classes are upward closed under the surjective
     homomorphism order, tested as: no coned class maps onto a cone-free one.
+
+    The age is read one subset size at a time, and the scan stops after
+    the first size with a condition-1 conflict.  Codes sort by order first
+    and a class of size s is settled once size s is read, so the least
+    conflicting code so far is the one the whole age would report first.
+    A pass or a condition-2 failure reads the whole age.
     """
-    counterexample = _conditions_failure(kk_okk(g, g.n))
+    table: dict[bytes, list] = {}
+    for level in _age_levels(g, g.n):
+        table.update(level)
+        if any(entry[2] is not None and entry[3] is not None for entry in level.values()):
+            break
+    counterexample = _conditions_failure(_partition(table))
     return HomogReport(
         verdict=counterexample is None,
         x_kind="H",

@@ -355,8 +355,10 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     Built by one-vertex extensions of the (n-1)-vertex representatives,
     deduplicated through canonical codes; every n-vertex graph arises this
     way since deleting a vertex lands in some (n-1)-vertex class.  Output
-    is ordered by canonical code.  Each call builds orders 2..n afresh;
-    the code memo makes a repeated call cheap.
+    is ordered by canonical code.  Each call builds orders 2..n afresh.
+    Through order 7 (11,290 codes) a repeated call is served from the code
+    memo; order 8 asks for 144,922 codes, more than the memo holds, so a
+    repeated call costs about as much as the first.
     """
     if n < 1:
         raise ValueError("enumeration starts at order 1")

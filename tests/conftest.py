@@ -17,8 +17,11 @@ from homoglab.graphs import (
     disjoint_union,
     empty_graph,
     exact_neighborhood,
+    induced_subgraph,
     lex_product,
 )
+from homoglab.homogeneity import AgeClass, AgePartition, Conflict
+from homoglab.morphisms import canonical_code
 
 
 def petersen() -> Graph:
@@ -146,6 +149,30 @@ def reference_min_column_code(g: Graph) -> bytes:
 
     dfs(0)
     return bytes([n]) + b"".join(c.to_bytes(2, "big") for c in best or [])
+
+
+def brute_age_partition(g: Graph) -> AgePartition:
+    """The kk/okk partition of g's whole age from a scan of every vertex
+    subset in combinations order, each restricted with induced_subgraph
+    and its cones read with common_neighborhood."""
+    found: dict[bytes, list] = {}
+    for size in range(1, g.n + 1):
+        for comb in combinations(range(g.n), size):
+            code = canonical_code(induced_subgraph(g, comb)[0])
+            found.setdefault(code, []).append((comb, common_neighborhood(g, comb)))
+    classes, conflicts, kk, okk = [], [], set(), set()
+    for code in sorted(found):
+        embeddings = [comb for comb, _ in found[code]]
+        classes.append(AgeClass(induced_subgraph(g, embeddings[0])[0], code, tuple(embeddings)))
+        coned = [(comb, cones[0]) for comb, cones in found[code] if cones]
+        coneless = [comb for comb, cones in found[code] if not cones]
+        if coned:
+            kk.add(code)
+        if coneless:
+            okk.add(code)
+        if coned and coneless:
+            conflicts.append(Conflict(code, coned[0][0], coned[0][1], coneless[0]))
+    return AgePartition(frozenset(kk), frozenset(okk), tuple(conflicts), tuple(classes))
 
 
 def graph_from_bits(n: int, bits: int) -> Graph:

@@ -20,7 +20,9 @@ from homoglab.graphs import (
     lex_product,
     path_graph,
 )
+from homoglab import homogeneity
 from homoglab.homogeneity import (
+    _conditions_failure,
     _local_maps,
     age,
     decide_hh_conditions,
@@ -36,8 +38,10 @@ from homoglab.morphisms import (
     extends_in,
     validate_total_map,
 )
+from homoglab.verify import random_graph
 
 from conftest import (
+    brute_age_partition,
     brute_extendable,
     brute_local_morphisms,
     census_tail,
@@ -85,6 +89,23 @@ class TestAge:
             for emb in cls.embeddings:
                 sub, _ = induced_subgraph(cycle_graph(5), emb)
                 assert canonical_code(sub) == cls.code
+
+    def test_prefix_built_subsets_match_brute_oracle(self):
+        # Each subset is built from a subset one smaller plus a larger
+        # vertex, carrying over its induced masks and cone.  The classes,
+        # their embeddings in combinations order, the representatives and
+        # the conflict witnesses must be those of a scan of every subset.
+        rng = random.Random(4127)
+        conflicts = 0
+        for n in (7, 8, 9, 10):
+            for p in (0.25, 0.5, 0.75):
+                g = random_graph(rng, n, p)
+                part, brute = kk_okk(g, n), brute_age_partition(g)
+                assert part.classes == brute.classes, g.masks
+                assert (part.kk, part.okk) == (brute.kk, brute.okk), g.masks
+                assert part.conflicts == brute.conflicts, g.masks
+                conflicts += len(part.conflicts)
+        assert conflicts > 0
 
     def test_embedding_cap(self):
         # There is no embedding cap: every embedding is listed.
@@ -358,14 +379,47 @@ class TestDecideConditions:
         assert report.counterexample["lower_code"] == canonical_code(complete_graph(2))
 
     def test_whole_age_always_read(self):
-        # P5 is not HH, yet its age up to one vertex passes both conditions;
-        # the conditions route always reads the whole age, so it says no.
+        # P5 is not HH, yet its age up to one vertex passes both conditions.
+        # The conditions route stops reading the age early only on a
+        # condition-1 failure, so a truncated age is never taken as a pass,
+        # and it says no.
         g = path_graph(5)
         assert not decide_xy(g, "H", "H").verdict
         assert not decide_hh_conditions(g).verdict
         assert decide_hh_conditions(complete_graph(4)).note is None
         with pytest.raises(TypeError):
             decide_hh_conditions(g, k=1)
+
+    def test_early_stop_matches_whole_age(self):
+        # The age is read one subset size at a time and the scan stops
+        # after the first size with a condition-1 conflict; the report must
+        # be the one the whole age gives.
+        rng = random.Random(2718)
+        sample = []
+        for n in range(1, 7):
+            for rep in enumerate_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                sample.append(rep.relabel(perm))
+        for g in sample + census_tail():
+            expected = _conditions_failure(kk_okk(g, g.n))
+            assert decide_hh_conditions(g).counterexample == expected, g.masks
+
+    def test_early_stop_reads_only_the_orders_it_needs(self, monkeypatch):
+        # Petersen has a conflict among its triples and P7 among its
+        # pairs; K4 is HH, so its whole age is read.
+        asked = []
+        code = homogeneity._code
+
+        def recording(adj):
+            asked.append(len(adj))
+            return code(adj)
+
+        monkeypatch.setattr(homogeneity, "_code", recording)
+        for g, largest in ((petersen(), 3), (path_graph(7), 2), (complete_graph(4), 4)):
+            asked.clear()
+            decide_hh_conditions(g)
+            assert max(asked) == largest, g.masks
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
