@@ -4,7 +4,8 @@ Subcommands: analyze, check, generate, witness, rado-span, classify,
 verify.  Every command prints one JSON report to stdout.  Exit codes:
 0 verdict computed, 1 suite failures or a negative verdict under
 --expect yes, 2 invalid input, 3 budget exhausted, 4 internal error: an
-invariant failure or a search deeper than Python's recursion limit.
+invariant failure, a search deeper than Python's recursion limit, or
+exhausted memory.
 """
 
 from __future__ import annotations
@@ -309,6 +310,9 @@ def run(argv: list[str]) -> int:
         return 3
     except (InternalInvariant, RecursionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return 4
     except (HomoglabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

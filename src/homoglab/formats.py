@@ -8,7 +8,7 @@ line per edge, 0-based.
 from __future__ import annotations
 
 from .errors import FormatError
-from .graphs import Graph
+from .graphs import Graph, _iter_bits
 
 __all__ = [
     "graph_to_graph6",
@@ -29,33 +29,19 @@ _G6_HEADER = ">>graph6<<"
 _MAX_ORDER = 258047
 
 
-def _g6_bits(g: Graph) -> list[int]:
-    bits = []
-    for j in range(1, g.n):
-        col = g.masks[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    return bits
-
-
 def graph_to_graph6(g: Graph) -> str:
     n = g.n
     if n > _MAX_ORDER:
         raise FormatError(f"graph6 writer supports at most {_MAX_ORDER} vertices")
     if n <= 62:
-        head = [n + 63]
+        head = chr(n + 63)
     else:
-        head = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    bits = _g6_bits(g)
-    body = []
-    for start in range(0, len(bits), 6):
-        group = bits[start : start + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        body.append(val + 63)
-    return "".join(map(chr, head + body))
+        head = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    # The body lists column j (the bits of mask j below j, vertex 0 first)
+    # for j = 1..n-1, padded with zeros to 6-bit characters, high bit first.
+    bits = "".join(f"{g.masks[j]:0{n}b}"[::-1][:j] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 def graph_from_graph6(text: str) -> Graph:
@@ -80,18 +66,18 @@ def graph_from_graph6(text: str) -> Graph:
         raise FormatError(
             f"graph6 body length {len(data)} does not match order {n}"
         )
-    bits = []
-    for d in data:
-        for shift in range(5, -1, -1):
-            bits.append(d >> shift & 1)
-    edges = []
-    k = 0
+    # Column j is the next j body bits, vertex 0 first; each of its members
+    # also gains j in its own mask.  Padding bits are ignored.
+    bits = "".join(f"{d:06b}" for d in data)
+    masks = [0] * n
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+        col = int(bits[start : start + j][::-1], 2)
+        start += j
+        masks[j] |= col
+        for i in _iter_bits(col):
+            masks[i] |= 1 << j
+    return Graph._of(tuple(masks))
 
 
 def graph_to_edgelist(g: Graph) -> str:

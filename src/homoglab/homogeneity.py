@@ -220,7 +220,7 @@ def _partition(table: dict[bytes, list]) -> AgePartition:
     conflicts = []
     for code in sorted(table):
         sig, embeddings, coned, coneless = table[code]
-        classes.append(AgeClass(Graph.from_masks(sig), code, tuple(embeddings)))
+        classes.append(AgeClass(Graph._of(sig), code, tuple(embeddings)))
         if coned is not None and coneless is not None:
             conflicts.append(Conflict(code, coned[0], coned[1], coneless))
     return AgePartition(

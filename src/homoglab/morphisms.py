@@ -341,14 +341,6 @@ def _code(adj: tuple[int, ...]) -> bytes:
 _ENUMERATION_ORDER = 8
 
 
-def _extend(g: Graph, nbr_mask: int) -> Graph:
-    masks = list(g.masks) + [nbr_mask]
-    new = g.n
-    for v in _iter_bits(nbr_mask):
-        masks[v] |= 1 << new
-    return Graph.from_masks(masks)
-
-
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of n-vertex graphs.
 
@@ -364,14 +356,18 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         raise ValueError("enumeration starts at order 1")
     if n > _ENUMERATION_ORDER:
         raise OrderTooLarge(f"enumeration capped at order {_ENUMERATION_ORDER}, got {n}")
-    reps = (Graph(1),)
+    reps = ((0,),)
     for order in range(2, n + 1):
-        seen: dict[bytes, Graph] = {}
-        for g in reps:
-            for mask in range(1 << (order - 1)):
-                h = _extend(g, mask)
-                code = _code(h.masks)
+        new = 1 << (order - 1)
+        seen: dict[bytes, tuple[int, ...]] = {}
+        for masks in reps:
+            for row in range(new):
+                # The new vertex joins the vertices of row.
+                ext = tuple(m | new if row >> v & 1 else m for v, m in enumerate(masks))
+                ext += (row,)
+                code = _code(ext)
                 if code not in seen:
-                    seen[code] = h
-        reps = tuple(h for _, h in sorted(seen.items()))
-    yield from reps
+                    seen[code] = ext
+        reps = tuple(ext for _, ext in sorted(seen.items()))
+    for masks in reps:
+        yield Graph._of(masks)

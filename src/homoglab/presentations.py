@@ -135,7 +135,10 @@ def truncate(p: Presentation, n: int) -> Graph:
     if n > _MAX_TRUNCATION:
         raise BadParams(f"truncation order {n} exceeds the cap of {_MAX_TRUNCATION}")
     if p._rows is not None:
-        return Graph.from_masks(p._rows(n))
+        rows = tuple(p._rows(n))
+        if len(rows) != n:
+            raise BadParams(f"{p.spec_string()}: rows hook gave {len(rows)} rows for order {n}")
+        return Graph.from_masks(rows)
     return Graph(n, ((i, j) for j in range(n) for i in range(j) if p._adj(i, j)))
 
 
@@ -244,7 +247,7 @@ def _rs(n: int) -> Presentation:
 
     def refuter(a: tuple, b: tuple) -> str | None:
         aset, bset = set(a), set(b)
-        if set(range(n)) <= aset:
+        if len(aset) >= n and set(range(n)) <= aset:
             return (
                 "cone refuted: no vertex is adjacent to all of the "
                 f"{n} independent block vertices"
@@ -262,18 +265,23 @@ def _rs(n: int) -> Presentation:
             if any(v >= n and (v - n) % n == part for v in aset):
                 return "co-cone refuted: the only candidate misses part of the cone side"
             return None
-        if not b_parts and set(range(n)) <= bset:
+        if not b_parts and len(bset) >= n and set(range(n)) <= bset:
             return "co-cone refuted: every candidate co-cone over the block is a block vertex already listed"
         return None
 
     def rows(size: int) -> list[int]:
+        # Up to size n only block vertices are present, and they are
+        # independent; so n >= size costs nothing, however large n is.
+        if size <= n:
+            return [0] * size
         full = (1 << size) - 1
-        block = (1 << min(n, size)) - 1
+        block = (1 << n) - 1
         clique = full ^ block
-        # parts[t]: the clique vertices n + t, 2n + t, ... below size.
+        # parts[t]: the clique vertices n + t, 2n + t, ... below size; the
+        # parts of t >= size - n are empty.
         count = -(-size // n)
-        parts = [(_tile(1, n, count) << (n + t)) & full for t in range(n)]
-        out = [clique & ~parts[i] for i in range(min(n, size))]
+        parts = [(_tile(1, n, count) << (n + t)) & full for t in range(min(n, size - n))]
+        out = [clique & ~part for part in parts] + [clique] * (n - len(parts))
         out += [(clique ^ 1 << v) | (block ^ 1 << (v - n) % n) for v in range(n, size)]
         return out
 
@@ -866,9 +874,7 @@ def _ladder(p: Presentation, budget: int) -> dict[int, Graph]:
     """
     top = truncate(p, budget)
     rungs = sorted({max(8, budget // 8), budget // 4, budget // 2})
-    sliced = {
-        s: Graph.from_masks(m & ((1 << s) - 1) for m in top.masks[:s]) for s in rungs
-    }
+    sliced = {s: Graph._of(tuple(m & ((1 << s) - 1) for m in top.masks[:s])) for s in rungs}
     return {**sliced, budget: top}
 
 

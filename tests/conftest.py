@@ -175,6 +175,22 @@ def brute_age_partition(g: Graph) -> AgePartition:
     return AgePartition(frozenset(kk), frozenset(okk), tuple(conflicts), tuple(classes))
 
 
+def reference_lex_product(g: Graph, h: Graph) -> Graph:
+    """g[h] from its edge list: (a, x) = a*order(h) + x is adjacent to
+    (b, y) when a~b in g, or a = b and x~y in h."""
+    n, m = g.n, h.n
+    edges = []
+    for a in range(n):
+        for b in g.neighbors(a):
+            if b > a:
+                for x in range(m):
+                    for y in range(m):
+                        edges.append((a * m + x, b * m + y))
+        for x, y in h.edges():
+            edges.append((a * m + x, a * m + y))
+    return Graph(n * m, edges)
+
+
 def graph_from_bits(n: int, bits: int) -> Graph:
     pairs = list(combinations(range(n), 2))
     return Graph(n, (p for i, p in enumerate(pairs) if bits >> i & 1))

@@ -58,6 +58,17 @@ def test_error_exit_codes(capsys, monkeypatch, error, code):
     assert captured.err == f"{prefix}: {error}\n"
 
 
+def test_exhausted_memory_exits_four(capsys, monkeypatch):
+    def command(args, argv):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", command)
+    assert run(["analyze", "unused.g6"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: out of memory\n"
+
+
 class TestAnalyze:
     def test_rs3_pipeline(self, tmp_path, capsys):
         target = str(tmp_path / "rs3.g6")
@@ -275,6 +286,12 @@ class TestClassify:
         code, report = run_json(capsys, ["classify", "rado_bit", "--budget", "512"])
         assert code == 0
         assert report["payload"]["classification"]["verdict"] == "rado"
+
+    def test_block_larger_than_the_budget(self, capsys):
+        # Every vertex below the budget is a block vertex of rs:10^11.
+        code, report = run_json(capsys, ["classify", "rs:100000000000"])
+        assert code == 0
+        assert report["payload"]["classification"]["verdict"] == "null"
 
     def test_budget_over_cap_rejected(self, capsys):
         assert run(["classify", "rado_bit", "--budget", "100000000"]) == 2

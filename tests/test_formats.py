@@ -1,5 +1,7 @@
 """graph6 and edge-list round trips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,8 @@ from homoglab.formats import (
     graph_to_edgelist,
     graph_to_graph6,
 )
-from homoglab.graphs import complete_graph, cycle_graph
+from homoglab.graphs import Graph, complete_graph, cycle_graph
+from homoglab.verify import random_graph
 
 from conftest import graph_from_bits
 
@@ -47,6 +50,23 @@ def test_edgelist_round_trip(g):
 def test_large_order_header_round_trip():
     g = complete_graph(70)
     assert graph_from_graph6(graph_to_graph6(g)) == g
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 100, 300])
+def test_graph6_matches_networkx(n):
+    # Both directions against an independent codec: the writer gives
+    # networkx's text, and the reader gives networkx's graph.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(f"graph6/{n}")
+    for density in (0.0, rng.random(), rng.random(), 1.0):
+        g = random_graph(rng, n, density)
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(g.edges())
+        text = nx.to_graph6_bytes(reference, header=False).decode().strip()
+        assert graph_to_graph6(g) == text
+        read = nx.from_graph6_bytes(graph_to_graph6(g).encode())
+        assert graph_from_graph6(text) == Graph(read.number_of_nodes(), read.edges()) == g
 
 
 def test_edgelist_format():

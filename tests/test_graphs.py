@@ -36,7 +36,8 @@ from homoglab.graphs import (
     path_graph,
     star_number,
 )
-from homoglab.morphisms import canonical_code
+from homoglab.homogeneity import kk_okk
+from homoglab.morphisms import canonical_code, enumerate_graphs
 from homoglab.verify import random_graph
 
 from conftest import (
@@ -44,8 +45,10 @@ from conftest import (
     brute_components,
     brute_independent_dominating_of_size,
     brute_max_clique,
+    census_tail,
     graph_from_bits,
     petersen,
+    reference_lex_product,
 )
 
 
@@ -119,12 +122,66 @@ class TestPackedMaskCheck:
                     assert str(exc.value) == message
 
     def test_first_fault_wins_above_the_crossover(self):
-        n = graph_module._PACKED_CHECK_MIN + 7
+        n = 40
         masks = list(complete_graph(n).masks)
         masks[n - 1] |= 1 << (n - 1)
         masks[3] ^= 1 << 5
         with pytest.raises(ValueError, match="asymmetric adjacency between 3 and 5"):
             Graph.from_masks(masks)
+
+
+def _is_its_definition(g, reference):
+    """g holds valid masks (the check from_masks would make) and equals the
+    reference built from an edge list."""
+    graph_module._check_masks(g.masks)
+    assert g == reference
+
+
+def _reference_induced(g, s):
+    vs = sorted(s)
+    return Graph(len(vs), [(i, j) for i, j in combinations(range(len(vs)), 2)
+                           if g.has_edge(vs[i], vs[j])])
+
+
+class TestDerivedGraphsNeedNoCheck:
+    """Graphs derived from valid graphs are built without from_masks, so
+    every derivation must give valid masks by construction."""
+
+    @pytest.mark.parametrize("n", range(0, 41))
+    def test_graph_operations(self, n):
+        rng = random.Random(f"derived/{n}")
+        for density in (0.0, 0.15, 0.5, 0.85, 1.0):
+            g = random_graph(rng, n, density)
+            h = random_graph(rng, rng.randrange(4), rng.random())
+            perm = list(range(n))
+            rng.shuffle(perm)
+            s = [v for v in range(n) if rng.random() < 0.5]
+            edges = list(g.edges())
+            _is_its_definition(complement(g), Graph(n, [
+                (u, v) for u, v in combinations(range(n), 2) if not g.has_edge(u, v)
+            ]))
+            _is_its_definition(disjoint_union(g, h), Graph(
+                n + h.n, edges + [(u + n, v + n) for u, v in h.edges()]
+            ))
+            _is_its_definition(disjoint_union(h, g), Graph(
+                n + h.n, list(h.edges()) + [(u + h.n, v + h.n) for u, v in edges]
+            ))
+            _is_its_definition(induced_subgraph(g, s)[0], _reference_induced(g, s))
+            _is_its_definition(g.relabel(perm), Graph(n, [(perm[u], perm[v]) for u, v in edges]))
+            _is_its_definition(lex_product(g, h), reference_lex_product(g, h))
+            _is_its_definition(lex_product(h, g), reference_lex_product(h, g))
+        _is_its_definition(complete_graph(n), Graph(n, combinations(range(n), 2)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_enumerated_representatives(self, n):
+        for g in enumerate_graphs(n):
+            _is_its_definition(g, Graph(n, list(g.edges())))
+
+    def test_age_class_representatives(self):
+        graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)] + census_tail()
+        for g in graphs:
+            for cls in kk_okk(g, min(g.n, 6)).classes:
+                _is_its_definition(cls.representative, _reference_induced(g, cls.embeddings[0]))
 
 
 class TestComplement:

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homoglab import presentations
+from homoglab import graphs as graph_module, presentations
 from homoglab.errors import BadParams, BudgetExhausted
 from homoglab.graphs import (
     Graph,
@@ -550,7 +550,24 @@ class TestClosedFormHooks:
         ladder = presentations._ladder(p, budget)
         assert list(ladder) == sorted({max(8, budget // 8), budget // 4, budget // 2, budget})
         for s, g in ladder.items():
+            # Rungs are sliced without from_masks, so check what it would.
+            graph_module._check_masks(g.masks)
             assert g == truncate(p, s)
+
+    def test_rs_rows_match_the_oracle_at_every_size(self):
+        for n in range(3, 8):
+            p = make_presentation("rs", n)
+            oracle = _oracle_only(p)
+            for size in range(3 * n + 3):
+                assert truncate(p, size) == truncate(oracle, size), (n, size)
+
+    def test_rs_costs_follow_the_vertices_asked_about(self):
+        # Below order n every vertex is a block vertex, so nothing of size
+        # n may be built: a part mask of 2^n bits, or range(n) as a set.
+        p = make_presentation("rs", 10**12)
+        assert truncate(p, 10) == empty_graph(10)
+        assert extension_witness(p, [0], [], 10).status == "exhausted"
+        assert extension_witness(p, [], [0, 1], 10).status == "found"
 
 
 class TestTruncationCap:
@@ -564,6 +581,11 @@ class TestTruncationCap:
             truncate(p, cap + 1)
         with pytest.raises(BadParams, match="cap"):
             classify_mb(p, cap + 1)
+
+    def test_rows_hook_must_give_n_rows(self):
+        p = Presentation("x", lambda i, j: False, rows=lambda n: [0] * (n + 1))
+        with pytest.raises(BadParams, match="x: rows hook gave 4 rows for order 3"):
+            truncate(p, 3)
 
     def test_cap_is_reachable(self, monkeypatch):
         monkeypatch.setattr(presentations, "_MAX_TRUNCATION", 40)
