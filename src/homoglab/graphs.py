@@ -230,6 +230,8 @@ class Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     full = (1 << n) - 1
     return Graph._of(tuple(full & ~(1 << v) for v in range(n)))
 

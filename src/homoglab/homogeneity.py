@@ -34,15 +34,16 @@ one-point extension of a local monomorphism can leave the class of local
 monomorphisms, so no one-point argument is known to be sound there.
 
 The enumerating routes, (H, H), (M, H), (I, H) and the (I, Y) one-point
-check, list local maps with one enumerator, _local_maps.  Domains come by
+check, list the local maps on each domain with morphisms._local_maps, the
+walker that search_morphism also takes its maps from.  Domains come by
 size and then lexicographically, images lexicographically, so each route
 reports its least failing map in that order.  The images a vertex may take
-come from morphisms._targets, the one candidate rule that search_morphism
-and the is_local_* checks also ask: neighbours of the images of its
-neighbours, for M and I no used target, and for I no neighbour of the
-images of its non-neighbours.  The (I, Y) check asks the same rule for a
-vertex outside the domain, and (M, H) and (I, H) hand each map to
-search_morphism as a seed.
+come from morphisms._targets, the one candidate rule that the walker and
+the is_local_* checks ask: neighbours of the images of its neighbours, for
+M and I no used target, and for I no neighbour of the images of its
+non-neighbours.  The (I, Y) check asks the same rule for a vertex outside
+the domain, and (M, H) and (I, H) hand each map to search_morphism as a
+seed.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .morphisms import (
     MorphismConstraints,
     PartialMap,
     _code,
+    _local_maps,
     _targets,
     search_morphism,
 )
@@ -263,48 +265,6 @@ def _domains(n: int):
         yield from combinations(range(n), size)
 
 
-def _local_maps(g: Graph, domain: tuple[int, ...], x: str):
-    """Yield (images, image_mask) for every local x-morphism of g on domain,
-    x in {H, M, I}, with images in ascending lexicographic order.
-
-    An explicit stack walks every position but the last; the last one is a
-    plain loop over its targets, where almost all maps are produced.  A
-    recursive generator would resume once per level for every map.
-    """
-    size = len(domain)
-    if not size:
-        yield (), 0
-        return
-    last = size - 1
-    images = [0] * size
-    pending = [0] * size
-    used = [0] * size
-    adj = g.masks
-    pending[0] = _targets(adj, adj, x, domain, images, 0, 0)
-    i = 0
-    while i >= 0:
-        if i == last:
-            base = used[last]
-            cand = pending[last]
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                images[last] = low.bit_length() - 1
-                yield tuple(images), base | low
-            i -= 1
-            continue
-        cand = pending[i]
-        if not cand:
-            i -= 1
-            continue
-        low = cand & -cand
-        pending[i] = cand ^ low
-        images[i] = low.bit_length() - 1
-        i += 1
-        used[i] = used[i - 1] | low
-        pending[i] = _targets(adj, adj, x, domain, images, i, used[i])
-
-
 def _counterexample(domain, images, vertex, reason) -> dict:
     return {
         "map": [[u, t] for u, t in zip(domain, images)],
@@ -313,9 +273,8 @@ def _counterexample(domain, images, vertex, reason) -> dict:
     }
 
 
-def _decide_hh_direct(g: Graph) -> HomogReport:
-    """One-point route for (H, H): over every coned domain and every
-    homomorphism from it, the image must again have a cone.
+def _hh_failure(g: Graph) -> dict | None:
+    """First homomorphism from a coned domain whose image has no cone.
 
     A subset of a coned set is coned, so every set smaller than the
     smallest coneless one is coned.  An image has at most as many vertices
@@ -325,34 +284,25 @@ def _decide_hh_direct(g: Graph) -> HomogReport:
     """
     cones = _cone_table(g)
     smallest = min(mask.bit_count() for mask, cone in cones.items() if not cone)
-
+    adj = g.masks
     for domain in _domains(g.n):
         if len(domain) < smallest:
             continue
         dcones = cones[sum(1 << v for v in domain)]
         if not dcones:
             continue
-        for images, image_mask in _local_maps(g, domain, "H"):
+        for images, image_mask in _local_maps(adj, adj, "H", domain, (), 0):
             if not cones[image_mask]:
-                return HomogReport(
-                    verdict=False,
-                    x_kind="H",
-                    y_kind="H",
-                    method="direct",
-                    counterexample=_counterexample(
-                        domain,
-                        images,
-                        next(_iter_bits(dcones)),
-                        "image of the domain has no cone",
-                    ),
-                )
-    return HomogReport(verdict=True, x_kind="H", y_kind="H", method="direct")
+                vertex = next(_iter_bits(dcones))
+                return _counterexample(domain, images, vertex, "image of the domain has no cone")
+    return None
 
 
 def _h_search_failure(g: Graph, x: str) -> dict | None:
     """First local x-morphism, x in {M, I}, that no endomorphism extends."""
+    adj = g.masks
     for domain in _domains(g.n):
-        for images, _ in _local_maps(g, domain, x):
+        for images, _ in _local_maps(adj, adj, x, domain, (), 0):
             if search_morphism(g, g, PartialMap(tuple(zip(domain, images)))) is None:
                 return _counterexample(domain, images, None, "no extension")
     return None
@@ -391,7 +341,7 @@ def _i_to_automorphism_failure(g: Graph) -> dict | None:
     full = (1 << g.n) - 1
     for domain in _domains(g.n):
         outside = full & ~sum(1 << v for v in domain)
-        for images, image_mask in _local_maps(g, domain, "I"):
+        for images, image_mask in _local_maps(adj, adj, "I", domain, (), 0):
             for a in _iter_bits(outside):
                 if not _targets(adj, adj, "I", domain + (a,), images, len(domain), image_mask):
                     reason = "no image for the new vertex keeps a local isomorphism"
@@ -424,12 +374,12 @@ def decide_xy(g: Graph, x: str, y: str) -> HomogReport:
         raise ValueError(f"y kind must be one of {KINDS!r}, got {y!r}")
     if g.n > _ORDER_LIMIT:
         raise OrderTooLarge(f"direct decider capped at order {_ORDER_LIMIT}, got {g.n}")
-    if y == "H":
-        if x == "H":
-            return _decide_hh_direct(g)
-        counterexample, note = _h_search_failure(g, x), None
-    else:
+    if y != "H":
         counterexample, note = _AUTOMORPHISM_FAILURE[x](g), _FINITE_COLLAPSE_NOTE
+    elif x == "H":
+        counterexample, note = _hh_failure(g), None
+    else:
+        counterexample, note = _h_search_failure(g, x), None
     return HomogReport(
         verdict=counterexample is None,
         x_kind=x,

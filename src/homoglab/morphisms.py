@@ -4,8 +4,10 @@ The search assigns source vertices in index order and tries targets in
 ascending order, so the first complete assignment is the lexicographically
 least total map.  One rule, _targets, gives the targets that keep a partial
 map a local H-, M- or I-morphism, from the neighbourhood masks of the
-vertices already assigned.  The search, the is_local_* checks and the
-local-map enumeration of the deciders in homogeneity.py all ask it.
+vertices already assigned; the is_local_* checks ask it.  One walker,
+_local_maps, lists the maps that rule allows, and it is the only map walk
+in the package: search_morphism takes its first map, and the deciders in
+homogeneity.py read every local map from it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import InternalInvariant, OrderTooLarge, SeedNotLocalMorphism
-from .graphs import Graph, _iter_bits
+from .graphs import Graph
 
 __all__ = [
     "PartialMap",
@@ -54,9 +56,6 @@ class PartialMap:
         return len(self.pairs)
 
 
-EMPTY_MAP = PartialMap()
-
-
 @dataclass(frozen=True)
 class MorphismConstraints:
     injective: bool = False
@@ -81,6 +80,65 @@ def _targets(amask, bmask, x: str, vs, images, i: int, used: int) -> int:
         elif x == "I":
             allowed &= ~bmask[images[j]]
     return allowed
+
+
+def _local_maps(amask, bmask, x: str, vs, prefix, cover: int):
+    """Yield (images, image_mask) for every local x-morphism vs -> images,
+    x in {H, M, I}, that extends the valid local x-morphism
+    vs[:k] -> prefix, with images[k:] in ascending lexicographic order.
+
+    A map must take every target of the mask cover, so a position is cut
+    when the targets of cover still unused outnumber the positions left;
+    cover 0 cuts nothing.  An explicit stack walks every position but the
+    last; the last one is a plain loop over its targets, where almost all
+    maps are produced.  A recursive generator would resume once per level
+    for every map, and would pass Python's recursion limit on a long vs.
+    """
+    n, k = len(vs), len(prefix)
+    base = 0
+    for t in prefix:
+        base |= 1 << t
+    if k == n:
+        if not cover & ~base:
+            yield tuple(prefix), base
+        return
+    if cover and n - k < (cover & ~base).bit_count():
+        return
+    images = list(prefix) + [0] * (n - k)
+    last = n - 1
+    pending = [0] * n
+    used = [0] * n
+    used[k] = base
+    pending[k] = _targets(amask, bmask, x, vs, images, k, base)
+    i = k
+    while i >= k:
+        if i == last:
+            base = used[last]
+            cand = pending[last]
+            missing = cover & ~base
+            if missing:
+                # The cut leaves at most one target of cover to take.
+                cand &= missing
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                images[last] = low.bit_length() - 1
+                yield tuple(images), base | low
+            i -= 1
+            continue
+        cand = pending[i]
+        if not cand:
+            i -= 1
+            continue
+        low = cand & -cand
+        pending[i] = cand ^ low
+        images[i] = low.bit_length() - 1
+        i += 1
+        used[i] = base = used[i - 1] | low
+        if cover and n - i < (cover & ~base).bit_count():
+            pending[i] = 0
+        else:
+            pending[i] = _targets(amask, bmask, x, vs, images, i, base)
 
 
 def _local_image(a: Graph, b: Graph, f: PartialMap, x: str) -> int | None:
@@ -157,37 +215,23 @@ def search_morphism(
         return [] if (not c.surjective or m == 0) else None
     if m == 0:
         return None
-    seed = seed or EMPTY_MAP
     # Respecting non-edges forces injectivity: a graph has no loops, so an
     # edge cannot go to one vertex, and a kept non-edge goes to two
     # distinct non-adjacent ones.
     x = "I" if c.respect_nonedges else "M" if c.injective else "H"
-    used = _local_image(a, b, seed, x)
-    if used is None:
+    pairs = seed.pairs if seed else ()
+    if pairs and _local_image(a, b, seed, x) is None:
         return None
 
-    amask, bmask = a.masks, b.masks
-    full_b = (1 << m) - 1
-    k = len(seed)
-    vs = seed.sources()
+    vs = [u for u, _ in pairs]
     vs += [v for v in range(n) if v not in vs]
-    images = [t for _, t in seed.pairs] + [0] * (n - k)
-
-    def dfs(i: int, used: int) -> bool:
-        if i == n:
-            return not c.surjective or used == full_b
-        if c.surjective and n - i < m - used.bit_count():
-            return False
-        for t in _iter_bits(_targets(amask, bmask, x, vs, images, i, used)):
-            images[i] = t
-            if dfs(i + 1, used | 1 << t):
-                return True
-        return False
-
-    if not dfs(k, used):
+    prefix = [t for _, t in pairs]
+    cover = (1 << m) - 1 if c.surjective else 0
+    first = next(_local_maps(a.masks, b.masks, x, vs, prefix, cover), None)
+    if first is None:
         return None
     f = [0] * n
-    for v, t in zip(vs, images):
+    for v, t in zip(vs, first[0]):
         f[v] = t
     if not validate_total_map(a, b, f, c):
         raise InternalInvariant("search produced an invalid witness")

@@ -371,9 +371,11 @@ def _union_cliques_complement() -> Presentation:
             g = next(iter(groups))
             if any(_group_of(v) == g for v in a):
                 return "co-cone refuted: a cone-side vertex sits in the same group"
+            # Group g is [start, start + g]: count the listed vertices in it
+            # instead of building a set of its g + 1 members.
             start = g * (g + 1) // 2
-            members = set(range(start, start + g + 1))
-            if not members - set(a) - set(b):
+            listed = {v for v in (*a, *b) if start <= v <= start + g}
+            if len(listed) > g:
                 return "co-cone refuted: the group is exhausted"
         return None
 

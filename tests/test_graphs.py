@@ -77,6 +77,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.from_masks([0b010, 0b000, 0b000])  # asymmetric
 
+    def test_negative_order_rejected_by_every_constructor(self):
+        # complete_graph(-1) used to fail on a negative shift count.
+        for build in (Graph, empty_graph, path_graph, complete_graph):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                build(-1)
+
 
 def _loop_verdict(masks):
     try:

@@ -23,7 +23,6 @@ from homoglab.graphs import (
 from homoglab import homogeneity
 from homoglab.homogeneity import (
     _conditions_failure,
-    _local_maps,
     age,
     decide_hh_conditions,
     decide_xy,
@@ -33,6 +32,7 @@ from homoglab.homogeneity import (
 from homoglab.morphisms import (
     MorphismConstraints,
     PartialMap,
+    _local_maps,
     canonical_code,
     enumerate_graphs,
     extends_in,
@@ -309,7 +309,7 @@ def _unskipped_hh_walk(g) -> dict:
             cones = _cones(g, domain)
             if not cones:
                 continue
-            for images, _ in _local_maps(g, domain, "H"):
+            for images, _ in _local_maps(g.masks, g.masks, "H", domain, (), 0):
                 if not _cones(g, images):
                     report["verdict"] = False
                     report["counterexample"] = {

@@ -30,7 +30,7 @@ from homoglab.morphisms import (
     search_morphism,
     validate_total_map,
 )
-from homoglab.homogeneity import kk_okk
+from homoglab.homogeneity import kk_okk, preceq
 from homoglab.verify import random_graph
 
 from conftest import (
@@ -87,6 +87,10 @@ def _brute_least_map(a, b, seed_pairs, c):
             continue
         return list(f)
     return None
+
+
+def _mask(vertices):
+    return sum(1 << v for v in set(vertices))
 
 
 def _shuffled(g, rng):
@@ -240,6 +244,52 @@ class TestSearchMorphism:
                     got = search_morphism(a, b, PartialMap(pairs), c)
                     expected = _brute_least_map(a, b, pairs, c)
                     assert got == expected, (a.masks, b.masks, pairs, c)
+
+
+class TestLocalMapWalker:
+    def test_matches_brute_force_with_prefixes_and_cover(self):
+        # On every class of order <= 5 and a relabelling of it: a shuffled
+        # vertex list vs, the whole vertex set or a part of it, a prefix
+        # drawn from the local maps on its first k vertices, and cover 0 or
+        # every vertex.  The walker yields exactly the brute-force local
+        # maps on vs that extend the prefix and cover the mask, in
+        # ascending order of images.
+        walk = morphisms._local_maps
+        rng = random.Random(2020)
+        for n in range(1, 6):
+            for rep in enumerate_graphs(n):
+                for g in (rep, _shuffled(rep, rng)):
+                    local = brute_local_morphisms(g)
+                    for x in "HMI":
+                        by_domain = {}
+                        for pairs in local[x]:
+                            domain = frozenset(u for u, _ in pairs)
+                            by_domain.setdefault(domain, []).append(dict(pairs))
+                        for trial in range(3):
+                            vs = rng.sample(range(n), n if trial == 0 else rng.randint(0, n))
+                            k = rng.randint(0, len(vs))
+                            start = rng.choice(by_domain[frozenset(vs[:k])])
+                            prefix = [start[v] for v in vs[:k]]
+                            for cover in (0, (1 << n) - 1):
+                                expected = []
+                                for f in by_domain[frozenset(vs)]:
+                                    images = tuple(f[v] for v in vs)
+                                    if list(images[:k]) == prefix and not cover & ~_mask(images):
+                                        expected.append(images)
+                                got = list(walk(g.masks, g.masks, x, vs, prefix, cover))
+                                case = (g.masks, x, vs, prefix, cover)
+                                assert [images for images, _ in got] == sorted(expected), case
+                                assert all(mask == _mask(images) for images, mask in got), case
+
+    # A recursive search passed Python's recursion limit on these paths.
+    def test_deep_search_returns(self):
+        assert search_morphism(path_graph(5000), complete_graph(2)) == [0, 1] * 2500
+
+    def test_deep_surjective_search_returns(self):
+        assert preceq(path_graph(3000), complete_graph(2))
+
+    def test_deep_seeded_extension_returns(self):
+        assert extends_in(path_graph(2000), PartialMap([(0, 1)]), "H")[:4] == [1, 0, 1, 0]
 
 
 class TestExtendsIn:

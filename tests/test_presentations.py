@@ -2,7 +2,7 @@
 construction, and the bimorphism-class probe."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +245,34 @@ class TestExtensionWitness:
         p = make_presentation("union_cliques_complement")
         result = extension_witness(p, (0, 2), (1,), 64)
         assert result.status == "proven_absent"
+
+    def test_union_cliques_refuter_matches_brute_group_check(self):
+        # Every disjoint (a, b) over the first 4 groups, vertices 0..9,
+        # against the certificates read off explicit group lists.
+        p = make_presentation("union_cliques_complement")
+        group = [m for m in range(4) for _ in range(m + 1)]
+        for sides in product(range(3), repeat=len(group)):
+            a = [v for v, s in enumerate(sides) if s == 1]
+            b = [v for v, s in enumerate(sides) if s == 2]
+            hit = {group[v] for v in b}
+            expected = None
+            if len(hit) >= 2:
+                expected = (
+                    "co-cone refuted: vertices of distinct groups have no common non-neighbour"
+                )
+            elif hit:
+                members = {v for v in range(len(group)) if group[v] in hit}
+                if members & set(a):
+                    expected = "co-cone refuted: a cone-side vertex sits in the same group"
+                elif members <= set(b):
+                    expected = "co-cone refuted: the group is exhausted"
+            assert p.refute(a, b) == expected, (a, b)
+
+    def test_union_cliques_refuter_builds_no_group_set(self):
+        # The group of 10**14 has about 1.4 * 10**7 members; building them
+        # as a set ran out of memory under a 600 MB address-space limit.
+        p = make_presentation("union_cliques_complement")
+        assert extension_witness(p, [], [10**14], 10).status == "exhausted"
 
 
 class TestPropertyProbes:

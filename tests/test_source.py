@@ -121,7 +121,23 @@ def test_one_local_morphism_rule():
     assert [f.split(":")[0] for f in found] == ["morphisms.py"], found
 
 
-MODULES = ("errors", "formats", "graphs", "homogeneity", "morphisms", "presentations", "verify")
+def test_one_map_walker():
+    # morphisms._local_maps is the one walk over partial maps: the search
+    # takes its first map and the deciders every map, so the search keeps
+    # no recursive helper of its own.
+    defs = [
+        (path.name, node)
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert [name for name, node in defs if node.name == "_local_maps"] == ["morphisms.py"]
+    (search,) = [node for _, node in defs if node.name == "search_morphism"]
+    nested = [node.name for node in ast.walk(search) if isinstance(node, ast.FunctionDef)]
+    assert nested == ["search_morphism"], nested
+
+
+MODULES =("errors", "formats", "graphs", "homogeneity", "morphisms", "presentations", "verify")
 
 # Every public name the package exported before it re-exported each
 # module's __all__; none may leave it.
