@@ -342,15 +342,27 @@ def is_connected(g: Graph) -> bool:
 # greedy colouring bound: a candidate set split into c colour classes holds
 # no clique of more than c vertices.
 #
-# * _max_clique_size finds the clique number by branch and bound.
+# * _max_clique finds the clique number by branch and bound, and keeps the
+#   first clique of that size it meets.
 # * _cliques lists the cliques of a known size.  The alpha and sigma
 #   witnesses ask it for one completion of each lexicographic choice that
 #   no earlier completion already covers, and directories asks it for
 #   every clique of size alpha.
 #
+# Both walk an explicit stack with one frame per chosen vertex: the colour
+# order still to branch on, from its far end, and the candidates not yet
+# branched on.  So the size of a clique is bounded by memory, not by the
+# recursion limit.  At the level that needs one more vertex, every
+# candidate completes a clique, and _cliques lists them with no colouring
+# and no frame.  A candidate set whose colouring gives every vertex its own
+# colour is a clique, which _max_clique takes whole.
+#
 # The optimiser stays separate: asking _cliques for one clique at each
 # size in turn found the clique number about three times more slowly on
-# 600 G(36, 0.17) graphs (2 vCPU, CPython 3.11.7).
+# 600 G(36, 0.17) graphs (2 vCPU, CPython 3.11.7).  The clique it keeps
+# seeds the lexicographic witness: when independence_number or star_number
+# fills a memo slot, it hands that clique to _lex_least_clique as the first
+# completion, so the walk takes its labels unprobed.
 #
 # Both searches run on _complement_view, the complement relabelled so that
 # bit i stands for order[i], the vertex with the i-th fewest neighbours in
@@ -360,24 +372,30 @@ def is_connected(g: Graph) -> bool:
 # vertices whose colour can still reach the cut its caller passes (MCQ
 # again): the others would be cut on sight.  On G(110, 0.1), seed 1, the
 # relabel took alpha from 3-5 s to under 0.5 s (2 vCPU, CPython 3.11.7).
-# Every vertex set a public call returns is mapped back through order, and
-# the lexicographic witnesses walk candidates by original label, so results
-# do not depend on the relabelling.
+# The view also holds keep, g itself in the same bits: keep[i] is the set
+# of vertices that may share a colour class with i, and, for star_number,
+# the neighbourhood of order[i].  Every vertex set a public call returns is
+# mapped back through order, and the lexicographic witnesses walk
+# candidates by original label, so results do not depend on the
+# relabelling.
 #
 # Each public call builds the view afresh; only the numbers it yields,
 # alpha and the (sigma, least vertex) pair, are kept in the graph's
 # _alpha_memo and _star_memo slots, so no graph searches for either twice.
-# The view is not kept: on an order-36 graph it holds about 2.3 KB for as
+# The view is not kept: on an order-36 graph it holds about 3.7 KB for as
 # long as the graph lives, which a caller holding many graphs pays for in
 # memory, while a rebuild costs tens of microseconds.
 
+_View = tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]
 
-def _complement_view(g: Graph) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """(co, order, pos): the complement of g with bit i standing for vertex
-    order[i], and pos the inverse of order.
+
+def _complement_view(g: Graph) -> _View:
+    """(co, keep, order, pos): the complement of g with bit i standing for
+    vertex order[i], g itself in the same bits, and pos the inverse of order.
 
     Each row is remapped from the sparser of g's row and its complement's,
-    so building the view costs at most n/2 bit moves per vertex.
+    and the other follows by one flip, so building the view costs at most
+    n/2 bit moves per vertex.
     """
     n = g.n
     masks = g.masks
@@ -389,25 +407,27 @@ def _complement_view(g: Graph) -> tuple[tuple[int, ...], list[int], list[int]]:
         bit[v] = 1 << i
     full = (1 << n) - 1
     co = []
+    keep = []
     for i, v in enumerate(order):
         row = masks[v]
-        if 2 * row.bit_count() <= n:
-            flip = full ^ (1 << i)
-        else:
+        sparse = 2 * row.bit_count() <= n
+        if not sparse:
             row ^= full ^ (1 << v)
-            flip = 0
         moved = 0
         while row:
             low = row & -row
             moved |= bit[low.bit_length() - 1]
             row ^= low
-        co.append(moved ^ flip)
-    return tuple(co), order, pos
+        other = moved ^ full ^ (1 << i)
+        keep.append(moved if sparse else other)
+        co.append(other if sparse else moved)
+    return tuple(co), tuple(keep), order, pos
 
 
-def _color_order(adj: tuple[int, ...], cand: int, cut: int) -> list[tuple[int, int]]:
+def _color_order(keep: tuple[int, ...], cand: int, cut: int) -> list[tuple[int, int]]:
     """Greedy colouring of cand; returns (vertex, colour) in colour order for
-    the vertices of colour above cut."""
+    the vertices of colour above cut.  keep[v] holds the vertices that may
+    share v's colour: its non-neighbours in the complement."""
     order = []
     uncolored = cand
     color = 0
@@ -420,127 +440,148 @@ def _color_order(adj: tuple[int, ...], cand: int, cut: int) -> list[tuple[int, i
             if color > cut:
                 order.append((v, color))
             uncolored ^= low
-            avail = (avail ^ low) & ~adj[v]
+            avail &= keep[v]
     return order
 
 
-def _max_clique_size(adj: tuple[int, ...], cand: int, floor: int = 0) -> int:
-    """Clique number of cand, or floor when no clique within cand is larger.
+def _max_clique(
+    adj: tuple[int, ...], keep: tuple[int, ...], cand: int, floor: int = 0
+) -> tuple[int, list[int]]:
+    """(clique number of cand, a clique of that size), or (floor, []) when no
+    clique within cand is larger than floor.
 
     Branches that cannot beat floor are cut, so a caller maximising over
     several candidate sets passes its incumbent and skips the sets that
     cannot improve on it.
     """
     best = floor
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if not cand:
-            if size > best:
-                best = size
-            return
-        local = cand
-        for v, c in reversed(_color_order(adj, cand, best - size)):
-            if size + c <= best:
-                return
-            expand(size + 1, local & adj[v])
-            local ^= 1 << v
-
-    expand(0, cand)
-    return best
+    clique: list[int] = []
+    chosen: list[int] = []
+    stack = [[_color_order(keep, cand, floor), cand]]
+    while stack:
+        todo, local = frame = stack[-1]
+        if not todo or len(chosen) + todo[-1][1] <= best:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        v = todo.pop()[0]
+        frame[1] = local ^ (1 << v)
+        sub = local & adj[v]
+        size = len(chosen) + 1
+        todo = _color_order(keep, sub, best - size)
+        if todo and todo[-1][1] < sub.bit_count():
+            chosen.append(v)
+            stack.append([todo, sub])
+        elif todo or not sub and size > best:  # sub is a clique, or empty
+            best = size + sub.bit_count()
+            clique = [*chosen, v, *_iter_bits(sub)]
+    return best, clique
 
 
 def _cliques(
-    adj: tuple[int, ...], cand: int, need: int, limit: int | None = None
+    adj: tuple[int, ...], keep: tuple[int, ...], cand: int, need: int, limit: int | None = None
 ) -> list[list[int]]:
     """The cliques of exactly need vertices within cand, in branch order.
 
     Only vertices whose colour reaches the number still needed are branched
     on; the search stops once limit cliques are found.
     """
+    if need < 2:
+        return [[v] for v in _iter_bits(cand)][:limit] if need else [[]]
     found: list[list[int]] = []
     chosen: list[int] = []
-
-    def expand(cand: int) -> bool:
-        left = need - len(chosen)
-        if not left:
-            found.append(chosen[:])
-            return len(found) == limit
-        local = cand
-        for v, _ in reversed(_color_order(adj, cand, left - 1)):
-            chosen.append(v)
-            if expand(local & adj[v]):
-                return True
-            chosen.pop()
-            local ^= 1 << v
-        return False
-
-    expand(cand)
+    stack = [[_color_order(keep, cand, need - 1), cand]]
+    while stack:
+        todo, local = frame = stack[-1]
+        if not todo:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        v = todo.pop()[0]
+        frame[1] = local ^ (1 << v)
+        sub = local & adj[v]
+        left = need - len(stack)
+        if left > 1:
+            todo = _color_order(keep, sub, left - 1)
+            if todo:
+                chosen.append(v)
+                stack.append([todo, sub])
+            continue
+        for w in _iter_bits(sub):
+            found.append([*chosen, v, w])
+            if len(found) == limit:
+                return found
     return found
 
 
-def _lex_least_clique(
-    adj: tuple[int, ...], order: list[int], pos: list[int], cand: int, size: int
-) -> list[int]:
+def _lex_least_clique(view: _View, cand: int, size: int, known: list[int]) -> list[int]:
     """Least clique of the given size within cand, by original labels.
 
-    adj and cand are in the bits of _complement_view (order and pos map
-    between its bits and the labels); the clique is returned as labels.
+    cand and known are in the bits of view, whose order and pos map between
+    its bits and the labels; the clique is returned as labels.  known is
+    empty or a clique of size vertices within cand.
 
-    A probe that succeeds returns a completion, which is kept: it is a
-    clique of need vertices within cand, so when the walk reaches its least
-    label that label is taken unprobed, and only lesser labels are probed.
+    Labels are walked upward.  known, and each completion that a successful
+    probe returns, is a clique of need vertices within cand, so when the
+    walk reaches its least label that label is taken unprobed, and only
+    lesser labels are probed.
     """
-    above = [0] * len(pos)  # above[v]: the view bits of the labels above v
-    acc = 0
-    for v in range(len(pos) - 1, -1, -1):
-        above[v] = acc
-        acc |= 1 << pos[v]
+    co, keep, order, pos = view
+    known = sorted((order[i] for i in known), reverse=True)
     chosen: list[int] = []
-    known: list[int] = []  # sorted labels of a clique of need vertices in cand
-    need = size
-    while need:
-        for v in sorted(order[i] for i in _iter_bits(cand)):
-            rest = cand & adj[pos[v]] & above[v]
-            if known and known[0] == v:
-                del known[0]
+    start = 0
+    for need in range(size, 0, -1):
+        for v in range(start, len(pos)):
+            bit = 1 << pos[v]
+            if not cand & bit:
+                continue
+            cand ^= bit  # cand keeps only the labels above v
+            rest = cand & co[pos[v]]
+            if known and known[-1] == v:
+                known.pop()
                 break
-            found = _cliques(adj, rest, need - 1, 1)
+            found = rest.bit_count() >= need - 1 and _cliques(co, keep, rest, need - 1, 1)
             if found:
-                known = sorted(order[i] for i in found[0])
+                known = sorted((order[i] for i in found[0]), reverse=True)
                 break
         else:
             raise InternalInvariant("witness extraction lost feasibility")
         chosen.append(v)
         cand = rest
-        need -= 1
+        start = v + 1
     return chosen
 
 
-def _alpha(g: Graph, co: tuple[int, ...] | None = None) -> int:
-    """alpha(g) without a witness, searched once per graph; co is g's
-    complement view when the caller has built it."""
-    if g._alpha_memo is None:
-        if co is None:
-            co = _complement_view(g)[0]
-        g._alpha_memo = _max_clique_size(co, (1 << g.n) - 1)
-    return g._alpha_memo
+def _alpha(g: Graph, view: _View | None = None) -> tuple[int, list[int]]:
+    """alpha(g), searched once per graph, with the clique of the complement
+    view that this call's search found ([] when the memo held alpha); view
+    is g's complement view when the caller has built it."""
+    if g._alpha_memo is not None:
+        return g._alpha_memo, []
+    co, keep, _, _ = view or _complement_view(g)
+    g._alpha_memo, clique = _max_clique(co, keep, (1 << g.n) - 1)
+    return g._alpha_memo, clique
 
 
-def _star(g: Graph, view: tuple | None = None) -> tuple[int, int]:
-    """sigma(g) and the least vertex attaining it, searched once per graph;
-    view is g's complement view when the caller has built it."""
-    if g._star_memo is None:
-        co, _, pos = view or _complement_view(g)
-        g._star_memo = _star_vertex(co, pos)
-    return g._star_memo
+def _star(g: Graph, view: _View | None = None) -> tuple[int, int, list[int]]:
+    """sigma(g) and the least vertex attaining it, searched once per graph,
+    with the clique of the complement view that this call's search found in
+    its neighbourhood ([] when the memo held sigma); view is g's complement
+    view when the caller has built it."""
+    if g._star_memo is not None:
+        return (*g._star_memo, [])
+    sigma, v, clique = _star_vertex(view or _complement_view(g))
+    g._star_memo = sigma, v
+    return sigma, v, clique
 
 
 def independence_number(g: Graph) -> tuple[int, list[int]]:
     """Exact alpha(g) with its lexicographically least witness set."""
-    co, order, pos = _complement_view(g)
-    alpha = _alpha(g, co)
-    return alpha, _lex_least_clique(co, order, pos, (1 << g.n) - 1, alpha)
+    view = _complement_view(g)
+    alpha, known = _alpha(g, view)
+    return alpha, _lex_least_clique(view, (1 << g.n) - 1, alpha, known)
 
 
 def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
@@ -552,26 +593,25 @@ def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
     """
     if g.n == 0:
         return 0, None
-    view = co, order, pos = _complement_view(g)
-    best, v = _star(g, view)
-    i = pos[v]
-    nbhd = ((1 << g.n) - 1) ^ co[i] ^ (1 << i)
-    return best, (v, _lex_least_clique(co, order, pos, nbhd, best))
+    view = _complement_view(g)
+    best, v, known = _star(g, view)
+    return best, (v, _lex_least_clique(view, view[1][view[3][v]], best, known))
 
 
-def _star_vertex(co: tuple[int, ...], pos: list[int]) -> tuple[int, int]:
-    """sigma and the least vertex attaining it (0 for edgeless graphs)."""
-    full = (1 << len(co)) - 1
+def _star_vertex(view: _View) -> tuple[int, int, list[int]]:
+    """sigma, the least vertex attaining it (0 for edgeless graphs), and a
+    clique of sigma vertices of the complement within its neighbourhood."""
+    co, keep, _, pos = view
     best = 0
     best_v = 0
+    clique: list[int] = []
     for v, i in enumerate(pos):
-        nbhd = full ^ co[i] ^ (1 << i)
-        if nbhd.bit_count() <= best:
+        if keep[i].bit_count() <= best:
             continue
-        size = _max_clique_size(co, nbhd, best)
+        size, found = _max_clique(co, keep, keep[i], best)
         if size > best:
-            best, best_v = size, v
-    return best, best_v
+            best, best_v, clique = size, v, found
+    return best, best_v, clique
 
 
 def directories(g: Graph) -> list[list[int]]:
@@ -584,8 +624,8 @@ def directories(g: Graph) -> list[list[int]]:
     """
     if not any(g.masks):
         raise StarNumberZero("directories are undefined for edgeless graphs")
-    co, order, _ = _complement_view(g)
-    cliques = _cliques(co, (1 << g.n) - 1, _alpha(g, co))
+    view = co, keep, order, _ = _complement_view(g)
+    cliques = _cliques(co, keep, (1 << g.n) - 1, _alpha(g, view)[0])
     return sorted(sorted(order[i] for i in c) for c in cliques)
 
 
@@ -626,7 +666,7 @@ def is_directory(g: Graph, i: Iterable[int], relaxed: bool = False) -> bool:
         return False
     if relaxed:
         return len(iset) >= 2 * _star(g)[0] - 1
-    return len(iset) == _alpha(g)
+    return len(iset) == _alpha(g)[0]
 
 
 def _require_base(g: Graph, i: Iterable[int]) -> int:

@@ -92,22 +92,37 @@ def rs_truncation(n: int = 3, parts: int = 2) -> Graph:
 
 def _coned_subsets(masks: tuple[int, ...], pool, limit: int):
     """Every nonempty subset of pool with at most limit members and a common
-    neighbour, with its cone mask, in lexicographic pre-order."""
-    chosen: list[int] = []
+    neighbour, with its cone mask, in lexicographic pre-order.
 
-    def walk(start: int, cone: int):
-        if len(chosen) >= limit:
-            return
-        for idx in range(start, len(pool)):
-            v = pool[idx]
-            sub = cone & masks[v]
+    The walk keeps explicit stacks: the cone of each prefix of chosen, and
+    for each member with children the index into pool where its level
+    resumes.
+    """
+    if limit < 1:
+        return
+    chosen: list[int] = []
+    resume: list[int] = []
+    cones = [(1 << len(masks)) - 1]
+    i = 0
+    while True:
+        if i < len(pool):
+            v = pool[i]
+            i += 1
+            sub = cones[-1] & masks[v]
             if sub:
                 chosen.append(v)
                 yield tuple(chosen), sub
-                yield from walk(idx + 1, sub)
-                chosen.pop()
-
-    return walk(0, (1 << len(masks)) - 1)
+                if len(chosen) < limit:
+                    resume.append(i)
+                    cones.append(sub)
+                else:
+                    chosen.pop()
+        elif resume:
+            chosen.pop()
+            cones.pop()
+            i = resume.pop()
+        else:
+            return
 
 
 def _address_table(g: Graph, imask: int) -> tuple[list[int], dict[int, int]]:
@@ -420,7 +435,7 @@ def verify_alpha_bound_family(
             if m < 2:
                 raise ValueError("clique parts need at least 2 vertices")
             g = rs_truncation(n, m)
-            alpha = _alpha(g)
+            alpha = _alpha(g)[0]
             sigma = _star(g)[0]
             bound = 2 * sigma + ceil(sigma / 2) - 1
             checked += 1

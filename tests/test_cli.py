@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from homoglab import cli, formats, morphisms
+from homoglab import cli, formats, graphs as graph_module, morphisms
 from homoglab.cli import run
 from homoglab.errors import (
     BadParams,
@@ -105,11 +105,24 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         assert run(["analyze", "/nonexistent.g6"]) == 2
 
-    def test_search_past_the_recursion_limit_exits_four(self, tmp_path, capsys):
-        # The clique search recurses once per clique vertex, and alpha of
-        # K_{1,1199} is 1199: one line on stderr, no traceback.
+    def test_clique_past_the_recursion_limit(self, tmp_path, capsys):
+        # alpha of K_{1,1199} is 1199: the clique searches walk an explicit
+        # stack, so a clique this large no longer exceeds the recursion limit.
         target = str(tmp_path / "star.edges")
         write_graph(Graph(1200, [(0, v) for v in range(1, 1200)]), target, "edges")
+        code, report = run_json(capsys, ["analyze", target, "--format", "edges"])
+        assert code == 0
+        assert report["payload"]["analysis"]["independence_number"] == 1199
+
+    def test_search_past_the_recursion_limit_exits_four(self, monkeypatch, tmp_path, capsys):
+        # A search that still overflows the stack ends in one line on
+        # stderr, with no traceback.
+        def overflow(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(graph_module, "_max_clique", overflow)
+        target = str(tmp_path / "star.edges")
+        write_graph(Graph(12, [(0, v) for v in range(1, 12)]), target, "edges")
         assert run(["analyze", target, "--format", "edges"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

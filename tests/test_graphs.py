@@ -571,6 +571,59 @@ class TestRelabelledSearch:
         assert len(calls) < 1000
 
 
+class TestCliqueEngine:
+    """Both clique searches walk an explicit stack, and the optimiser's
+    clique seeds the lexicographic witness walk."""
+
+    def test_max_clique_returns_a_clique_of_its_size(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2111)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 24), rng.choice((0.1, 0.3, 0.5, 0.8)))
+            co, keep, order, _ = graph_module._complement_view(g)
+            G = nx.Graph()
+            G.add_nodes_from(range(g.n))
+            G.add_edges_from(g.edges())
+            co_nx = nx.complement(G)
+            for i, cand in [(None, (1 << g.n) - 1)] + list(enumerate(keep)):
+                size, clique = graph_module._max_clique(co, keep, cand)
+                labels = [order[j] for j in clique]
+                if i is None:
+                    want = nx.max_weight_clique(co_nx, weight=None)[1]
+                else:
+                    want = nx.max_weight_clique(co_nx.subgraph(g.neighbors(order[i])), weight=None)[1]
+                assert size == want == len(set(clique))
+                assert all(cand >> j & 1 for j in clique)
+                assert all(co[a] >> b & 1 for a, b in combinations(clique, 2))
+                assert is_independent(g, labels)
+                # Nothing beats a floor at the clique number.
+                assert graph_module._max_clique(co, keep, cand, size) == (size, [])
+
+    def test_alpha_past_the_recursion_limit(self, monkeypatch):
+        # The complement of I1000 is K1000: the colouring of the first
+        # branch's candidates gives each its own colour, so that set is
+        # taken whole.  Stacking a colour order per level instead took this
+        # call to 67 MB of peak RSS, and I5000 to about 1.5 GB.
+        calls = _count_calls(monkeypatch, "_color_order")
+        assert independence_number(empty_graph(1000)) == (1000, list(range(1000)))
+        assert len(calls) == 2
+        late_centre = Graph(1200, [(v, 1199) for v in range(1199)])
+        assert star_number(late_centre) == (1199, (1199, list(range(1199))))
+
+    def test_kept_incumbent_covers_every_level(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "_cliques")
+        for n in (2, 5, 40, 300):
+            centre_first = Graph(n + 1, [(0, v) for v in range(1, n + 1)])
+            centre_last = Graph(n + 1, [(v, n) for v in range(n)])
+            assert independence_number(empty_graph(n)) == (n, list(range(n)))
+            assert star_number(empty_graph(n)) == (0, (0, []))
+            assert independence_number(centre_first) == (n, list(range(1, n + 1)))
+            assert star_number(centre_first) == (n, (0, list(range(1, n + 1))))
+            assert independence_number(centre_last) == (n, list(range(n)))
+            assert star_number(centre_last) == (n, (n, list(range(n))))
+        assert calls == []
+
+
 class TestAddress:
     def test_rs3_clique_vertex(self, rs3_m2):
         assert address(rs3_m2, [0, 1, 2], 3) == [1, 2]
@@ -751,7 +804,7 @@ class TestProfile:
         g = random_graph(random.Random(5), 30, 0.2)
         full = (1 << g.n) - 1
         alpha, witness = independence_number(g)
-        calls = _count_calls(monkeypatch, "_max_clique_size", lambda adj, cand, *r: cand == full)
+        calls = _count_calls(monkeypatch, "_max_clique", lambda adj, keep, cand, *r: cand == full)
         dirs = directories(g)
         assert dirs[0] == witness and len(dirs[0]) == alpha
         assert is_directory(g, witness)

@@ -137,6 +137,23 @@ def test_one_map_walker():
     assert nested == ["search_morphism"], nested
 
 
+def test_searches_keep_no_nested_function():
+    # The clique searches and the coned-subset walk each keep an explicit
+    # stack, so none of them can recurse once per level again.
+    searches = {"_max_clique", "_cliques", "_lex_least_clique", "_coned_subsets"}
+    found = {}
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and node.name in searches:
+                found[node.name] = [
+                    getattr(inner, "name", "<lambda>")
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                    and inner is not node
+                ]
+    assert found == {name: [] for name in searches}
+
+
 MODULES =("errors", "formats", "graphs", "homogeneity", "morphisms", "presentations", "verify")
 
 # Every public name the package exported before it re-exported each

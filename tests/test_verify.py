@@ -221,6 +221,29 @@ class TestLemmaOracle:
         assert shortfalls
 
 
+class TestConedSubsets:
+    def test_matches_filtered_combinations_in_pre_order(self):
+        # Lexicographic pre-order of index tuples is their sorted order, and
+        # a subset is listed exactly when its members have a common
+        # neighbour.
+        rng = random.Random(4121)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+            pool = rng.sample(range(g.n), rng.randint(0, g.n))
+            for limit in range(1, 5):
+                want = []
+                for idx in sorted(
+                    c for k in range(1, limit + 1) for c in combinations(range(len(pool)), k)
+                ):
+                    cone = (1 << g.n) - 1
+                    for i in idx:
+                        cone &= g.masks[pool[i]]
+                    if cone:
+                        want.append((tuple(pool[i] for i in idx), cone))
+                assert list(verify._coned_subsets(g.masks, pool, limit)) == want
+            assert list(verify._coned_subsets(g.masks, pool, 0)) == []
+
+
 class TestEmptyRuns:
     def test_random_lemmas_need_a_graph(self):
         for count in (0, -3):
