@@ -716,41 +716,34 @@ def exact_neighborhood(g: Graph, i: Iterable[int], s: Iterable[int]) -> list[int
 def domination_number(g: Graph, i: Iterable[int], s: Iterable[int]) -> int:
     """Minimum number of index-set vertices needed to dominate s.
 
-    Implements the recursive definition: vertices of s inside i are counted
-    and everything they dominate is removed; the disjoint base case is an
-    exact minimum hitting set over the address candidates.
+    Follows the recursive definition: vertices of s inside i count one each
+    and take out everything they dominate.  i is independent, so no vertex
+    of i is left, and the rest is the disjoint base case: an exact minimum
+    hitting set over the address candidates.
     """
     imask = _require_base(g, i)
     smask = _mask_of(s, g.n)
     for x in _iter_bits(smask):
         if not imask >> x & 1 and not g.masks[x] & imask:
             raise Undominated(f"vertex {x} has no neighbour in the index set")
-
-    def d(smask: int) -> int:
-        if smask == 0:
-            return 0
-        inside = smask & imask
-        if inside == 0:
-            outside = _list_of(smask)
-            # Only address members can dominate anything in s.
-            pool = 0
-            for x in outside:
-                pool |= g.masks[x] & imask
-            candidates = _list_of(pool)
-            for k in range(1, len(candidates) + 1):
-                for combo in combinations(candidates, k):
-                    cmask = 0
-                    for c in combo:
-                        cmask |= 1 << c
-                    if all(g.masks[x] & cmask for x in outside):
-                        return k
-            raise InternalInvariant("undominated set escaped the entry check")
-        blocked = inside
-        for x in _iter_bits(inside):
-            blocked |= g.masks[x]
-        return inside.bit_count() + d(smask & ~blocked)
-
-    return d(smask)
+    inside = smask & imask
+    blocked = inside
+    for x in _iter_bits(inside):
+        blocked |= g.masks[x]
+    outside = _list_of(smask & ~blocked)
+    # Only address members can dominate anything in s.
+    pool = 0
+    for x in outside:
+        pool |= g.masks[x] & imask
+    candidates = _list_of(pool)
+    for k in range(len(candidates) + 1):
+        for combo in combinations(candidates, k):
+            cmask = 0
+            for c in combo:
+                cmask |= 1 << c
+            if all(g.masks[x] & cmask for x in outside):
+                return inside.bit_count() + k
+    raise InternalInvariant("undominated set escaped the entry check")
 
 
 @dataclass(frozen=True)

@@ -35,15 +35,15 @@ monomorphisms, so no one-point argument is known to be sound there.
 
 The enumerating routes, (H, H), (M, H), (I, H) and the (I, Y) one-point
 check, list the local maps on each domain with morphisms._local_maps, the
-walker that search_morphism also takes its maps from.  Domains come by
-size and then lexicographically, images lexicographically, so each route
-reports its least failing map in that order.  The images a vertex may take
-come from morphisms._targets, the one candidate rule that the walker and
-the is_local_* checks ask: neighbours of the images of its neighbours, for
-M and I no used target, and for I no neighbour of the images of its
-non-neighbours.  The (I, Y) check asks the same rule for a vertex outside
-the domain, and (M, H) and (I, H) hand each map to search_morphism as a
-seed.
+walker that search_morphism and the is_local_* checks also run.  Domains
+come by size and then lexicographically, images lexicographically, so
+each route reports its least failing map in that order.  The images a
+vertex may take come from morphisms._targets, the one candidate rule,
+which the walker asks at each position: neighbours of the images of its
+neighbours, for M and I no used target, and for I no neighbour of the
+images of its non-neighbours.  The (I, Y) check asks the same rule for a
+vertex outside the domain, and (M, H) and (I, H) hand each map to
+search_morphism as a seed, which the walker places as its prefix.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ The search assigns source vertices in index order and tries targets in
 ascending order, so the first complete assignment is the lexicographically
 least total map.  One rule, _targets, gives the targets that keep a partial
 map a local H-, M- or I-morphism, from the neighbourhood masks of the
-vertices already assigned; the is_local_* checks ask it.  One walker,
-_local_maps, lists the maps that rule allows, and it is the only map walk
-in the package: search_morphism takes its first map, and the deciders in
-homogeneity.py read every local map from it.
+vertices already assigned.  One walker, _local_maps, lists the maps that
+rule allows, and it is the only place that applies the rule to a map: a
+seed or a map to check is placed as the walk's prefix, one candidate per
+position.  The is_local_* checks and the seed check of extends_in walk
+the map alone, search_morphism takes the first map that extends its seed,
+and the deciders in homogeneity.py read every local map from the walker.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ def _targets(amask, bmask, x: str, vs, images, i: int, used: int) -> int:
     local x-morphism between the graphs with neighbourhood masks amask and
     bmask, given one for vs[:i] -> images[:i] with image mask used: edges
     go to neighbours of the image, M and I exclude used targets, and I also
-    keeps non-edges.  The one statement of the rule; every local-morphism
-    check, enumeration and search asks it."""
+    keeps non-edges.  The one statement of the rule; the walker asks it at
+    every position, and homogeneity's one-point check for one more
+    vertex."""
     row = amask[vs[i]]
     allowed = (1 << len(bmask)) - 1
     if x != "H":
@@ -84,8 +87,13 @@ def _targets(amask, bmask, x: str, vs, images, i: int, used: int) -> int:
 
 def _local_maps(amask, bmask, x: str, vs, prefix, cover: int):
     """Yield (images, image_mask) for every local x-morphism vs -> images,
-    x in {H, M, I}, that extends the valid local x-morphism
-    vs[:k] -> prefix, with images[k:] in ascending lexicographic order.
+    x in {H, M, I}, whose first len(prefix) images are prefix, with images
+    in ascending lexicographic order.
+
+    A position i < len(prefix) is walked like any other, with prefix[i] as
+    its one candidate, as Ullmann's search treats a vertex the caller
+    fixed.  So a prefix that is not a local x-morphism yields nothing, and
+    a prefix on all of vs yields itself when it is one.
 
     A map must take every target of the mask cover, so a position is cut
     when the targets of cover still unused outnumber the positions left;
@@ -94,24 +102,24 @@ def _local_maps(amask, bmask, x: str, vs, prefix, cover: int):
     maps are produced.  A recursive generator would resume once per level
     for every map, and would pass Python's recursion limit on a long vs.
     """
-    n, k = len(vs), len(prefix)
-    base = 0
-    for t in prefix:
-        base |= 1 << t
-    if k == n:
-        if not cover & ~base:
-            yield tuple(prefix), base
+    n = len(vs)
+    # The cut at position 0; the last position relies on it having run at
+    # every earlier one.
+    if n < cover.bit_count():
         return
-    if cover and n - k < (cover & ~base).bit_count():
+    if not n:
+        yield (), 0
         return
-    images = list(prefix) + [0] * (n - k)
+    k = len(prefix)
+    images = [0] * n
     last = n - 1
     pending = [0] * n
     used = [0] * n
-    used[k] = base
-    pending[k] = _targets(amask, bmask, x, vs, images, k, base)
-    i = k
-    while i >= k:
+    pending[0] = _targets(amask, bmask, x, vs, images, 0, 0)
+    if k:
+        pending[0] &= 1 << prefix[0]
+    i = 0
+    while i >= 0:
         if i == last:
             base = used[last]
             cand = pending[last]
@@ -139,41 +147,40 @@ def _local_maps(amask, bmask, x: str, vs, prefix, cover: int):
             pending[i] = 0
         else:
             pending[i] = _targets(amask, bmask, x, vs, images, i, base)
+            if i < k:
+                pending[i] &= 1 << prefix[i]
 
 
-def _local_image(a: Graph, b: Graph, f: PartialMap, x: str) -> int | None:
-    """Image mask of f when it is a local x-morphism a -> b, x in {H, M, I},
-    else None, asking _targets for each pair in turn.  A pair outside the
-    graphs raises ValueError."""
-    vs, images = [], []
+def _seed(a: Graph, b: Graph, f: PartialMap) -> tuple[list[int], list[int]]:
+    """Sources and targets of f in pair order; a pair outside the graphs
+    raises ValueError."""
     for u, t in f.pairs:
         if not 0 <= u < a.n or not 0 <= t < b.n:
             raise ValueError(f"map pair ({u},{t}) out of range")
-        vs.append(u)
-        images.append(t)
-    amask, bmask = a.masks, b.masks
-    used = 0
-    for i, t in enumerate(images):
-        if not _targets(amask, bmask, x, vs, images, i, used) >> t & 1:
-            return None
-        used |= 1 << t
-    return used
+    return [u for u, _ in f.pairs], [t for _, t in f.pairs]
+
+
+def _is_local(a: Graph, b: Graph, f: PartialMap, x: str) -> bool:
+    """Whether f is a local x-morphism a -> b, x in {H, M, I}: the walk
+    with f as its whole prefix yields f or nothing."""
+    vs, prefix = _seed(a, b, f)
+    return next(_local_maps(a.masks, b.masks, x, vs, prefix, 0), None) is not None
 
 
 def is_local_homomorphism(a: Graph, b: Graph, f: PartialMap) -> bool:
     """Every edge of the induced domain maps to an edge of b."""
-    return _local_image(a, b, f, "H") is not None
+    return _is_local(a, b, f, "H")
 
 
 def is_local_monomorphism(a: Graph, b: Graph, f: PartialMap) -> bool:
     """An injective local homomorphism."""
-    return _local_image(a, b, f, "M") is not None
+    return _is_local(a, b, f, "M")
 
 
 def is_local_isomorphism(a: Graph, b: Graph, f: PartialMap) -> bool:
     """An injective map that takes edges to edges and non-edges to
     non-edges."""
-    return _local_image(a, b, f, "I") is not None
+    return _is_local(a, b, f, "I")
 
 
 def validate_total_map(
@@ -219,13 +226,11 @@ def search_morphism(
     # edge cannot go to one vertex, and a kept non-edge goes to two
     # distinct non-adjacent ones.
     x = "I" if c.respect_nonedges else "M" if c.injective else "H"
-    pairs = seed.pairs if seed else ()
-    if pairs and _local_image(a, b, seed, x) is None:
-        return None
-
-    vs = [u for u, _ in pairs]
-    vs += [v for v in range(n) if v not in vs]
-    prefix = [t for _, t in pairs]
+    vs, prefix = _seed(a, b, seed or PartialMap())
+    seeded = 0
+    for u in vs:
+        seeded |= 1 << u
+    vs += [v for v in range(n) if not seeded >> v & 1]
     cover = (1 << m) - 1 if c.surjective else 0
     first = next(_local_maps(a.masks, b.masks, x, vs, prefix, cover), None)
     if first is None:
@@ -262,7 +267,7 @@ def extends_in(g: Graph, f: PartialMap, kind: str) -> list[int] | None:
     for u, t in f.pairs:
         if not 0 <= u < g.n or not 0 <= t < g.n:
             raise SeedNotLocalMorphism(f"seed pair ({u},{t}) out of range")
-    if _local_image(g, g, f, _SEED_KIND[kind]) is None:
+    if not _is_local(g, g, f, _SEED_KIND[kind]):
         raise SeedNotLocalMorphism(
             f"seed is not a local morphism of the kind required for {kind}"
         )

@@ -644,8 +644,8 @@ def check_property_bounded(
     vertices for a cone ('cone') or co-cone ('cocone') within the budget."""
     if prop not in ("cone", "cocone"):
         raise ValueError("property must be 'cone' or 'cocone'")
-    if not set_size <= base <= budget:
-        raise ValueError("need set_size <= base <= budget")
+    if not 0 <= set_size <= base <= budget:
+        raise ValueError("need 0 <= set_size <= base <= budget")
     failures = []
     checked = 0
     for size in range(1, set_size + 1):

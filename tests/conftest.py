@@ -285,6 +285,26 @@ def brute_extendable(g: Graph) -> dict[str, set[tuple[tuple[int, int], ...]]]:
     }
 
 
+def brute_domination_number(g: Graph, i, s) -> int:
+    """The recursive definition of the domination number of s from the
+    index set i, read literally on vertex sets: the empty set needs 0; a
+    set meeting i counts its members in i and recurses on what they do not
+    dominate; a set disjoint from i needs the fewest members of i, tried by
+    size, that each of its vertices is adjacent to."""
+    iset, s = set(i), set(s)
+    if not s:
+        return 0
+    inside = s & iset
+    if inside:
+        dominated = inside | {v for x in inside for v in g.neighbors(x)}
+        return len(inside) + brute_domination_number(g, iset, s - dominated)
+    for k in range(len(iset) + 1):
+        for combo in combinations(sorted(iset), k):
+            if all(any(g.has_edge(x, c) for c in combo) for x in s):
+                return k
+    raise ValueError("s is not dominated by the index set")
+
+
 def brute_directory_lemmas(g: Graph, i, sigma: int) -> tuple[int, list[dict]]:
     """Instances and failure records of verify_directory_lemmas at the given
     sigma, each clause checked literally from its statement: clause 1 by

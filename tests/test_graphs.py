@@ -43,11 +43,13 @@ from homoglab.verify import random_graph
 from conftest import (
     brute_alpha,
     brute_components,
+    brute_domination_number,
     brute_independent_dominating_of_size,
     brute_max_clique,
     census_tail,
     graph_from_bits,
     petersen,
+    random_maximal_independent,
     reference_lex_product,
 )
 
@@ -709,6 +711,27 @@ class TestDominationNumber:
         g = disjoint_union(complete_graph(2), empty_graph(1))
         with pytest.raises(NotADirectoryBase):
             domination_number(g, [0], [2])
+
+    def test_matches_the_recursive_definition(self):
+        # Seeded random graphs of order 1-10 with a maximal independent
+        # index set each, and every set s on order <= 6, else 40 random
+        # ones: the recursion's one step, written inline, agrees with the
+        # definition recursing on vertex sets.
+        rng = random.Random(2203)
+        for trial in range(150):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+            i = random_maximal_independent(rng, g)
+            if n <= 6:
+                sets = [s for k in range(n + 1) for s in combinations(range(n), k)]
+            else:
+                sets = [rng.sample(range(n), rng.randint(0, n)) for _ in range(40)]
+            for s in sets:
+                assert domination_number(g, i, s) == brute_domination_number(g, i, s), (
+                    g.masks,
+                    i,
+                    s,
+                )
 
 
 class TestAnalyze:

@@ -250,12 +250,14 @@ class TestLocalMapWalker:
     def test_matches_brute_force_with_prefixes_and_cover(self):
         # On every class of order <= 5 and a relabelling of it: a shuffled
         # vertex list vs, the whole vertex set or a part of it, a prefix
-        # drawn from the local maps on its first k vertices, and cover 0 or
-        # every vertex.  The walker yields exactly the brute-force local
-        # maps on vs that extend the prefix and cover the mask, in
-        # ascending order of images.
+        # drawn from the local maps on its first k vertices or, in the
+        # last trial, any images at all, and cover 0 or every vertex.  The
+        # walker yields exactly the brute-force local maps on vs that
+        # extend the prefix and cover the mask, in ascending order of
+        # images; for a prefix that is not a local map, none.
         walk = morphisms._local_maps
         rng = random.Random(2020)
+        not_local = 0
         for n in range(1, 6):
             for rep in enumerate_graphs(n):
                 for g in (rep, _shuffled(rep, rng)):
@@ -265,11 +267,16 @@ class TestLocalMapWalker:
                         for pairs in local[x]:
                             domain = frozenset(u for u, _ in pairs)
                             by_domain.setdefault(domain, []).append(dict(pairs))
-                        for trial in range(3):
+                        for trial in range(4):
                             vs = rng.sample(range(n), n if trial == 0 else rng.randint(0, n))
                             k = rng.randint(0, len(vs))
-                            start = rng.choice(by_domain[frozenset(vs[:k])])
-                            prefix = [start[v] for v in vs[:k]]
+                            if trial < 3:
+                                start = rng.choice(by_domain[frozenset(vs[:k])])
+                                prefix = [start[v] for v in vs[:k]]
+                            else:
+                                prefix = [rng.randrange(n) for _ in range(k)]
+                                starts = by_domain[frozenset(vs[:k])]
+                                not_local += dict(zip(vs, prefix)) not in starts
                             for cover in (0, (1 << n) - 1):
                                 expected = []
                                 for f in by_domain[frozenset(vs)]:
@@ -280,6 +287,7 @@ class TestLocalMapWalker:
                                 case = (g.masks, x, vs, prefix, cover)
                                 assert [images for images, _ in got] == sorted(expected), case
                                 assert all(mask == _mask(images) for images, mask in got), case
+        assert not_local > 50, not_local
 
     # A recursive search passed Python's recursion limit on these paths.
     def test_deep_search_returns(self):

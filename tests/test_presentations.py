@@ -302,6 +302,10 @@ class TestPropertyProbes:
             check_property_bounded(p, "cone", 5, 4, 100)
         with pytest.raises(ValueError):
             check_property_bounded(p, "sideways", 2, 4, 100)
+        # Negative sizes made an empty probe that reported a pass.
+        for set_size, base, budget in ((-2, -1, 0), (-1, 4, 100), (2, -1, 100)):
+            with pytest.raises(ValueError, match="0 <= set_size"):
+                check_property_bounded(p, "cone", set_size, base, budget)
 
 
 class TestSpanningConstruction:

@@ -121,6 +121,24 @@ def test_one_local_morphism_rule():
     assert [f.split(":")[0] for f in found] == ["morphisms.py"], found
 
 
+def test_the_rule_is_applied_in_one_place():
+    # A seed or a map to check is placed as the walker's prefix, so no
+    # separate seed check is left, and only the walker and the deciders'
+    # one-point check for one more vertex use _targets.
+    names, users = set(), set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        for func in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(func, ast.FunctionDef):
+                names.add(func.name)
+                if any(
+                    isinstance(node, ast.Name) and node.id == "_targets"
+                    for node in ast.walk(func)
+                ):
+                    users.add(f"{path.name}:{func.name}")
+    assert "_local_image" not in names
+    assert users == {"morphisms.py:_local_maps", "homogeneity.py:_i_to_automorphism_failure"}
+
+
 def test_one_map_walker():
     # morphisms._local_maps is the one walk over partial maps: the search
     # takes its first map and the deciders every map, so the search keeps
@@ -139,8 +157,15 @@ def test_one_map_walker():
 
 def test_searches_keep_no_nested_function():
     # The clique searches and the coned-subset walk each keep an explicit
-    # stack, so none of them can recurse once per level again.
-    searches = {"_max_clique", "_cliques", "_lex_least_clique", "_coned_subsets"}
+    # stack, so none of them can recurse once per level again; nor can the
+    # domination number, which needs no recursion at all.
+    searches = {
+        "_max_clique",
+        "_cliques",
+        "_lex_least_clique",
+        "_coned_subsets",
+        "domination_number",
+    }
     found = {}
     for path in sorted(SOURCE.rglob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
