@@ -17,7 +17,12 @@ class NotADirectoryBase(HomoglabError):
 
 
 class Undominated(HomoglabError):
-    """Raised when a vertex cannot be dominated from the given index set."""
+    """A vertex that cannot be dominated from the given index set.
+
+    The package no longer raises it: every operation that takes an index
+    set rejects one that does not dominate with NotADirectoryBase first.
+    The name stays importable for code written against earlier releases.
+    """
 
 
 class OrderTooLarge(HomoglabError):

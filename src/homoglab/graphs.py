@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import InternalInvariant, NotADirectoryBase, StarNumberZero, Undominated
+from .errors import InternalInvariant, NotADirectoryBase, StarNumberZero
 
 __all__ = [
     "Graph",
@@ -719,13 +719,12 @@ def domination_number(g: Graph, i: Iterable[int], s: Iterable[int]) -> int:
     Follows the recursive definition: vertices of s inside i count one each
     and take out everything they dominate.  i is independent, so no vertex
     of i is left, and the rest is the disjoint base case: an exact minimum
-    hitting set over the address candidates.
+    hitting set over the address candidates.  _require_base rejects an
+    index set that does not dominate every vertex, so the hitting set
+    always exists.
     """
     imask = _require_base(g, i)
     smask = _mask_of(s, g.n)
-    for x in _iter_bits(smask):
-        if not imask >> x & 1 and not g.masks[x] & imask:
-            raise Undominated(f"vertex {x} has no neighbour in the index set")
     inside = smask & imask
     blocked = inside
     for x in _iter_bits(inside):

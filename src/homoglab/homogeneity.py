@@ -29,9 +29,24 @@ endomorphism is an automorphism, so every target kind other than H means
   local isomorphism; on a finite graph these steps close into an
   automorphism.
 
-(M, H) and (I, H) search for an extension of every local morphism.  A
-one-point extension of a local monomorphism can leave the class of local
-monomorphisms, so no one-point argument is known to be sound there.
+Two implications answer some cells before any walk, and only ever with
+"true".  Every local monomorphism is a local homomorphism, and every
+local isomorphism a local monomorphism, so (H, H) implies (M, H), which
+implies (I, H).  An automorphism is an endomorphism, so (I, A) also
+implies (I, H).  (I, A) is homogeneity, and Gardiner (Homogeneous graphs,
+JCTB 1976) lists the finite homogeneous graphs: the unions mK_r of equal
+cliques, their complements, C5 and K3xK3.  _homogeneous recognises that
+list; C5 and K3xK3 are the only strongly regular graphs with parameters
+(5, 2, 0, 1) and (9, 4, 1, 2), so a parameter check is exact.  So (M, H)
+is true when (H, H) is, (I, H) when (H, H) is or the graph is on the
+list, and (I, Y) for Y other than H when the graph is on the list.  A
+true verdict has no counterexample, so the report is the one the search
+gives.  Otherwise (M, H) and (I, H) search for an extension of every
+local morphism; a one-point extension of a local monomorphism can leave
+the class of local monomorphisms, so no one-point argument is known to
+be sound there.  Rusinov and Schweitzer (Homomorphism-homogeneous
+graphs, JGT 2010) show that (M, H) and (H, H) always agree, but that
+gives no failing map, so the (M, H) search stays.
 
 The enumerating routes, (H, H), (M, H), (I, H) and the (I, Y) one-point
 check, list the local maps on each domain with morphisms._local_maps, the
@@ -52,7 +67,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OrderTooLarge
-from .graphs import Graph, _iter_bits
+from .graphs import Graph, _components, _iter_bits, complement
 from .morphisms import (
     KINDS,
     MorphismConstraints,
@@ -349,6 +364,36 @@ def _i_to_automorphism_failure(g: Graph) -> dict | None:
     return None
 
 
+def _equal_cliques(g: Graph) -> bool:
+    """Whether g is mK_r: every component a clique, all of one size."""
+    sizes = set()
+    for comp in _components(g):
+        if any(g.masks[v] | 1 << v != comp for v in _iter_bits(comp)):
+            return False
+        sizes.add(comp.bit_count())
+    return len(sizes) <= 1
+
+
+# The strongly regular parameters (k, lambda, mu) of C5 and K3xK3, by
+# order; each set is met by that graph alone.
+_SPORADIC = {5: (2, 0, 1), 9: (4, 1, 2)}
+
+
+def _homogeneous(g: Graph) -> bool:
+    """Whether g is on Gardiner's list of the finite homogeneous graphs:
+    mK_r, the complement of one, C5 or K3xK3."""
+    if _equal_cliques(g) or _equal_cliques(complement(g)):
+        return True
+    if g.n not in _SPORADIC:
+        return False
+    k, common_adjacent, common_apart = _SPORADIC[g.n]
+    adj = g.masks
+    return all(row.bit_count() == k for row in adj) and all(
+        (adj[u] & adj[v]).bit_count() == (common_adjacent if adj[u] >> v & 1 else common_apart)
+        for u, v in combinations(range(g.n), 2)
+    )
+
+
 _AUTOMORPHISM_FAILURE = {
     "H": _h_to_automorphism_failure,
     "M": _m_to_automorphism_failure,
@@ -363,10 +408,14 @@ def decide_xy(g: Graph, x: str, y: str) -> HomogReport:
     is a one-point cone check.  Every y but H means automorphism here: for
     x = H the graph must be complete, else a non-edge uv gives {u->u, v->u};
     for x = M complete or edgeless, else a non-edge uv and an edge st give
-    {u->s, v->t}; for x = I every local isomorphism must extend by one
-    vertex.  (M, H) and (I, H) search for an extension of every local
-    morphism, which is exponential and only meant for small orders; every
-    cell is capped at order 10, with no override.
+    {u->s, v->t}; for x = I the graph must be homogeneous: true on
+    Gardiner's list, else every local isomorphism must extend by one vertex.
+    (M, H) is true when (H, H) is, since a local monomorphism is a local
+    homomorphism; (I, H) is true when (H, H) is or the graph is on
+    Gardiner's list, since a local isomorphism is a local homomorphism and
+    an automorphism an endomorphism.  Else (M, H) and (I, H) search for an
+    extension of every local morphism, which is exponential and only meant
+    for small orders; every cell is capped at order 10, with no override.
     """
     if x not in X_KINDS:
         raise ValueError(f"x kind must be one of {X_KINDS!r}, got {x!r}")
@@ -374,10 +423,15 @@ def decide_xy(g: Graph, x: str, y: str) -> HomogReport:
         raise ValueError(f"y kind must be one of {KINDS!r}, got {y!r}")
     if g.n > _ORDER_LIMIT:
         raise OrderTooLarge(f"direct decider capped at order {_ORDER_LIMIT}, got {g.n}")
+    # A route that holds answers "true" before any walk.
+    homogeneous = x == "I" and _homogeneous(g)
     if y != "H":
-        counterexample, note = _AUTOMORPHISM_FAILURE[x](g), _FINITE_COLLAPSE_NOTE
+        counterexample = None if homogeneous else _AUTOMORPHISM_FAILURE[x](g)
+        note = _FINITE_COLLAPSE_NOTE
     elif x == "H":
         counterexample, note = _hh_failure(g), None
+    elif homogeneous or _hh_failure(g) is None:
+        counterexample, note = None, None
     else:
         counterexample, note = _h_search_failure(g, x), None
     return HomogReport(

@@ -332,8 +332,11 @@ def verify_neighbor_richness(g: Graph, i, threshold: int) -> SuiteReport:
     of the exact neighbourhood of S, count its neighbours in the exact
     neighbourhood of T.  Counts below the threshold are findings about the
     truncation, not refutations of anything infinite.  Raises ValueError
-    when the index set has more than _MAX_RICHNESS_SETS sigma-subsets.
+    for a threshold below 1, which no count can miss, and when the index
+    set has more than _MAX_RICHNESS_SETS sigma-subsets.
     """
+    if threshold < 1:
+        raise ValueError(f"richness threshold must be at least 1, got {threshold}")
     start = time.perf_counter()
     imask = _require_base(g, i)
     sigma = _star(g)[0]

@@ -419,6 +419,24 @@ def reference_spanning_schedule(p, n: int, budget: int):
     return placed, schedule, None
 
 
+def reference_enumerate_masks(n: int) -> list[tuple[int, ...]]:
+    """The masks of enumerate_graphs(n), in order, from its loop with no
+    twin skip: every row of every parent is extended and coded."""
+    reps = ((0,),)
+    for order in range(2, n + 1):
+        new = 1 << (order - 1)
+        seen = {}
+        for masks in reps:
+            for row in range(new):
+                ext = tuple(m | new if row >> v & 1 else m for v, m in enumerate(masks))
+                ext += (row,)
+                code = canonical_code(Graph.from_masks(ext))
+                if code not in seen:
+                    seen[code] = ext
+        reps = tuple(ext for _, ext in sorted(seen.items()))
+    return list(reps)
+
+
 def random_maximal_independent(rng, g: Graph) -> list[int]:
     """A maximal, not necessarily maximum, independent set: greedy over a
     shuffled vertex order."""

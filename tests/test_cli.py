@@ -166,11 +166,11 @@ class TestCheck:
         )
 
     def test_internal_invariant_exits_four(self, tmp_path, capsys, monkeypatch):
-        # (M, H) replays every local monomorphism through the morphism
-        # search, whose witness check is made to fail here.
+        # P3 is not HH, so (M, H) replays its local monomorphisms through
+        # the morphism search, whose witness check is made to fail here.
         monkeypatch.setattr(morphisms, "validate_total_map", lambda *args: False)
-        target = str(tmp_path / "k3.g6")
-        write_graph(complete_graph(3), target)
+        target = str(tmp_path / "p3.g6")
+        write_graph(path_graph(3), target)
         assert run(["check", target, "--x", "M", "--y", "H"]) == 4
         assert capsys.readouterr().out == ""
 
@@ -352,6 +352,15 @@ class TestVerify:
         )
         assert code == 0
         assert report["payload"]["suite_report"]["passed"] is True
+
+    def test_richness_threshold_below_one_rejected(self, capsys):
+        # No count is below 0, so such a threshold would pass unchecked.
+        argv = ["verify", "richness", "--family", "rs:3", "--truncate", "9",
+                "--threshold", "-3"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold must be at least 1" in captured.err
 
     def test_richness_beyond_the_index_set_cap_rejected(self, capsys):
         argv = ["verify", "richness", "--family", "rado_bit", "--truncate", "26"]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from homoglab.errors import OrderTooLarge
 from homoglab.graphs import (
     Graph,
+    complement,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -600,6 +601,85 @@ class TestCatalogCrossChecks:
                 except SeedNotLocalMorphism:
                     targets = [v for _, v in f.pairs]
                     assert len(set(targets)) != len(targets)
+
+
+def _gardiner_catalogue() -> list:
+    """Graphs of order 5-10 on both sides of Gardiner's list, and the
+    census tail's unions of equal cliques and their complements."""
+    tail = census_tail()
+    return [
+        tail[9],  # K3xK3
+        cycle_graph(5),
+        complement(clique_union((3, 3))),
+        petersen(),
+        lex_product(cycle_graph(5), complete_graph(2)),
+        cycle_graph(9),
+    ] + [tail[i] for i in (2, 3, 4, 10, 11)]  # 2K4, 4K2, K4[I2], 3K3, K3[I3]
+
+
+def _relabelled_classes(max_n: int, seed: int):
+    rng = random.Random(seed)
+    for n in range(1, max_n + 1):
+        for rep in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield rep.relabel(perm)
+
+
+class TestTheoryRoutes:
+    """(M, H), (I, H) and (I, Y) answer "true" from (H, H) and Gardiner's
+    list before any walk, and else run the search they ran before."""
+
+    def test_routes_match_the_searches_up_to_order_6(self):
+        for g in _relabelled_classes(6, 2309):
+            for x in "MI":
+                expected = homogeneity._h_search_failure(g, x)
+                report = decide_xy(g, x, "H")
+                assert (report.verdict, report.counterexample) == (expected is None, expected)
+            expected = homogeneity._i_to_automorphism_failure(g)
+            for y in "MEBAI":
+                report = decide_xy(g, "I", y)
+                assert (report.verdict, report.counterexample) == (expected is None, expected)
+
+    def test_gardiner_recogniser_matches_the_search(self):
+        graphs = list(_relabelled_classes(6, 4111)) + _gardiner_catalogue()
+        for g in graphs:
+            expected = homogeneity._i_to_automorphism_failure(g) is None
+            assert homogeneity._homogeneous(g) == expected, g.masks
+
+    def test_gardiner_recogniser_at_order_10(self):
+        # The (I, A) search holds on the first three too, but takes 8-19 s
+        # on each, so it is not run here.
+        homogeneous = [
+            clique_union((5, 5)),
+            clique_union((2,) * 5),
+            lex_product(complete_graph(5), empty_graph(2)),
+            complete_graph(10),
+            empty_graph(10),
+        ]
+        assert all(homogeneity._homogeneous(g) for g in homogeneous)
+        # Unequal clique unions and their complements are not homogeneous:
+        # a vertex of a small part and one of a large part are not swapped
+        # by any automorphism.
+        unequal = [clique_union((5, 4)), clique_union((2, 2, 2, 2, 1)), clique_union((2,) + (1,) * 8)]
+        assert not any(homogeneity._homogeneous(g) for g in unequal)
+        assert not any(homogeneity._homogeneous(complement(g)) for g in unequal)
+
+    def test_rusinov_schweitzer_mh_equals_hh(self):
+        # MH = HH (Rusinov and Schweitzer 2010), on every class up to
+        # order 6 under a relabelling.
+        for g in _relabelled_classes(6, 3307):
+            assert decide_xy(g, "M", "H").verdict == decide_xy(g, "H", "H").verdict, g.masks
+
+    def test_no_search_and_no_walk_on_k10_and_i10(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map was walked")
+
+        for name in ("search_morphism", "_local_maps", "_targets"):
+            monkeypatch.setattr(homogeneity, name, refuse)
+        for g in (complete_graph(10), empty_graph(10)):
+            for x, y in (("M", "H"), ("I", "H"), ("I", "A")):
+                assert decide_xy(g, x, y).verdict
 
 
 class TestNeighborhoodClosure:

@@ -324,6 +324,11 @@ class TestRichness:
         assert equal_pairs
         assert all(f["count"] == 1 for f in equal_pairs)
 
+    def test_threshold_below_one_rejected(self, rs3_m2):
+        for threshold in (0, -3):
+            with pytest.raises(ValueError, match="threshold must be at least 1"):
+                verify_neighbor_richness(rs3_m2, [0, 1, 2], threshold)
+
     def test_disjoint_pairs_skipped(self, rs3_m2):
         report = verify_neighbor_richness(rs3_m2, [0, 1, 2], 1)
         for f in report.failures:
