@@ -92,6 +92,21 @@ def _parse_vertex_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad vertex list {text!r}") from exc
 
 
+# Every verify option with its default, and the options each suite reads
+# (the campaign is directory-lemmas with --random).  Setting an option the
+# chosen suite does not read is refused, not ignored.
+_VERIFY_DEFAULTS = {"family": "rs:3", "truncate": 9, "count": 1000, "seed": DEFAULT_SEED,
+                    "max_order": 40, "threshold": 1, "n_min": 3, "n_max": 6, "part_size": 2}
+_VERIFY_READS = {
+    "directory-lemmas": {"family", "truncate"},
+    "directory-lemmas --random": {"count", "seed", "max_order"},
+    "richness": {"family", "truncate", "threshold"},
+    "triangle-dom2": {"family", "truncate"},
+    "alpha-bound": {"n_min", "n_max", "part_size"},
+    "cross-validate": {"n_max"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homoglab",
@@ -133,25 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=512)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "suite",
-        choices=(
-            "directory-lemmas",
-            "richness",
-            "triangle-dom2",
-            "alpha-bound",
-            "cross-validate",
-        ),
-    )
-    p.add_argument("--family", default="rs:3")
-    p.add_argument("--truncate", type=int, default=9)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-order", type=int, default=40)
-    p.add_argument("--threshold", type=int, default=1)
-    p.add_argument("--n-min", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--part-size", type=int, default=2)
+    p.add_argument("suite", choices=[m for m in _VERIFY_READS if not m.endswith(" --random")])
+    # Unset options stay None, so _cmd_verify can tell them from defaults.
+    for name, default in _VERIFY_DEFAULTS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default))
     p.add_argument("--random", action="store_true", help="run the random-graph campaign")
 
     return parser
@@ -262,7 +262,15 @@ def _cmd_classify(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
-    if args.suite == "directory-lemmas" and args.random:
+    if args.random and args.suite != "directory-lemmas":
+        raise BadParams(f"verify {args.suite} does not read --random")
+    mode = f"{args.suite} --random" if args.random else args.suite
+    for name, default in _VERIFY_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in _VERIFY_READS[mode]:
+            raise BadParams(f"verify {mode} does not read --{name.replace('_', '-')}")
+    if args.random:
         report = verify_directory_lemmas_random(
             count=args.count, seed=args.seed, max_order=args.max_order
         )

@@ -24,6 +24,9 @@ FORMATS = ("graph6", "edges")
 
 _G6_HEADER = ">>graph6<<"
 
+# The six bits, high bit first, of each graph6 body character.
+_G6_BITS = {c + 63: f"{c:06b}" for c in range(64)}
+
 # Largest order the graph6 writer can encode; the edge-list reader rejects
 # anything above it before a single vertex is allocated.
 _MAX_ORDER = 258047
@@ -50,30 +53,32 @@ def graph_from_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER) :]
     if not s:
         raise FormatError("empty graph6 input")
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    if min(s) < "?" or max(s) > "~":
         raise FormatError("graph6 input contains bytes outside 63..126")
-    if data[0] == 63:
-        if len(data) < 4:
+    if s[0] == "~":
+        if len(s) < 4:
             raise FormatError("truncated graph6 order field")
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        data = data[4:]
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
+        body = s[4:]
     else:
-        n = data[0]
-        data = data[1:]
+        n = ord(s[0]) - 63
+        body = s[1:]
     nbits = n * (n - 1) // 2
-    if len(data) != (nbits + 5) // 6:
+    if len(body) != (nbits + 5) // 6:
         raise FormatError(
-            f"graph6 body length {len(data)} does not match order {n}"
+            f"graph6 body length {len(body)} does not match order {n}"
         )
-    # Column j is the next j body bits, vertex 0 first; each of its members
-    # also gains j in its own mask.  Padding bits are ignored.
-    bits = "".join(f"{d:06b}" for d in data)
+    # Column j is the next j body bits, vertex 0 first.  Reversed once, the
+    # body lists the columns from the end, each with vertex 0 last, so
+    # column j is the j bits ending where column j - 1 begins, read as a
+    # binary number.  Each member of column j also gains j in its own
+    # mask.  Padding bits are ignored.
+    bits = body.translate(_G6_BITS)[::-1]
     masks = [0] * n
-    start = 0
+    end = len(bits)
     for j in range(1, n):
-        col = int(bits[start : start + j][::-1], 2)
-        start += j
+        col = int(bits[end - j : end], 2)
+        end -= j
         masks[j] |= col
         for i in _iter_bits(col):
             masks[i] |= 1 << j

@@ -19,6 +19,7 @@ from .errors import OrderTooLarge, StarNumberZero
 from .graphs import (
     Graph,
     _alpha,
+    _common_mask,
     _iter_bits,
     _list_of,
     _require_base,
@@ -141,8 +142,12 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
     """Check the three directory statements on one graph.
 
     1. For sigma-sized S inside the index set, the exact neighbourhood of S
-       equals the common neighbourhood of S.  Only sets with nonempty
-       common neighbourhood can differ, so those are enumerated.
+       equals the common neighbourhood of S.  Only sets with a common
+       neighbour c can differ.  The index set is independent, so c lies
+       outside it and S lies inside the address of c; conversely every
+       subset of an address is coned by its vertex.  So the instances are
+       the sigma-subsets of the addresses, each taken once, in
+       lexicographic order.
     2. No edge joins the exact neighbourhoods of disjoint sigma-sized
        subsets.  An offending edge determines the pair (S, T), so every
        edge is an instance; it can fail only with both ends
@@ -182,12 +187,18 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
     checked = 0
     addr_mask, exact = _address_table(g, imask)
 
-    # Clause 1: exact neighbourhood of sigma-sized S equals N(S).
-    for subset, cone in _coned_subsets(masks, _list_of(imask), sigma):
-        if len(subset) < sigma:
-            continue
+    # Clause 1: exact neighbourhood of sigma-sized S equals N(S).  A set
+    # with a common neighbour lies inside that neighbour's address.  Each
+    # address goes in as a list: a tuple built from a generator is resized,
+    # and freeing it stocks CPython's tuple free lists (about 0.4 MB of
+    # peak RSS over 600 graphs of order 36).
+    keys = [key for key in exact if key.bit_count() >= sigma]
+    subsets = {sub for key in keys for sub in combinations(_list_of(key), sigma)}
+    for subset in sorted(subsets):
         checked += 1
-        members = exact.get(sum(1 << v for v in subset), 0)
+        smask = sum(1 << v for v in subset)
+        members = exact.get(smask, 0)
+        cone = _common_mask(masks, smask, g.n)
         if members != cone:
             failures.append(
                 {

@@ -402,6 +402,46 @@ class TestVerify:
         assert "max_order" in captured.err
         assert run([*argv, "--max-order", str(10**9)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["directory-lemmas", "--count", "5"],
+             "verify directory-lemmas does not read --count"),
+            (["directory-lemmas", "--random", "--family", "rs:3", "--truncate", "9"],
+             "verify directory-lemmas --random does not read --family"),
+            (["richness", "--random"], "verify richness does not read --random"),
+            (["triangle-dom2", "--threshold", "2"],
+             "verify triangle-dom2 does not read --threshold"),
+            (["alpha-bound", "--truncate", "9"], "verify alpha-bound does not read --truncate"),
+            (["cross-validate", "--n-min", "3"], "verify cross-validate does not read --n-min"),
+        ],
+    )
+    def test_option_the_suite_does_not_read_rejected(self, capsys, argv, message):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["directory-lemmas"],
+            ["directory-lemmas", "--random", "--count", "3", "--max-order", "8"],
+            ["richness", "--threshold", "1"],
+            ["triangle-dom2", "--truncate", "9"],
+            ["alpha-bound", "--n-max", "4"],
+            ["cross-validate", "--n-max", "3"],
+        ],
+    )
+    def test_unset_options_take_the_suite_defaults(self, capsys, argv):
+        code, report = run_json(capsys, ["verify", *argv])
+        assert code == 0
+        suite_report = report["payload"].get("suite_report", {})
+        if "--random" in argv:
+            assert suite_report["extra"]["seed"] == cli.DEFAULT_SEED
+        if argv[0] == "alpha-bound":
+            assert [row["n"] for row in suite_report["extra"]["rows"]] == [3, 4]
+
     def test_cross_validate_beyond_cap_rejected(self, capsys):
         assert run(["verify", "cross-validate", "--n-max", "9"]) == 2
         assert capsys.readouterr().out == ""

@@ -86,6 +86,17 @@ def test_malformed_inputs(bad):
             graph_from_graph6(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["Bw>", "B>w", ">>graph6<<B\x7fw", ">>graph6<<Bw\x7f", "Bwé", "é"],
+)
+def test_graph6_bytes_outside_the_alphabet_rejected(bad):
+    # A body byte below "?" (63), above "~" (126) after a valid header, or
+    # any non-ASCII character.
+    with pytest.raises(FormatError, match="outside 63..126"):
+        graph_from_graph6(bad)
+
+
 def test_edgelist_order_cap(monkeypatch):
     # A stub stands in for Graph, so no order here allocates any vertices.
     orders = []

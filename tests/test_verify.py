@@ -10,6 +10,7 @@ import pytest
 from homoglab import graphs as graph_module, verify
 from homoglab.errors import NotADirectoryBase, OrderTooLarge, StarNumberZero
 from homoglab.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -185,9 +186,9 @@ class TestLemmaOracle:
             "cone-address-dominates",
         }
 
-    def test_passing_report_walks_subsets_once(self, dense_oracle_cases, monkeypatch):
-        # Clauses 2 and 3 count their instances by formula; only clause 1
-        # walks coned subsets while nothing fails.
+    def test_passing_report_walks_no_coned_subsets(self, dense_oracle_cases, monkeypatch):
+        # Clause 1 reads its sets off the address table, and clauses 2 and 3
+        # count their instances by formula; only a 3a stray makes 3b walk.
         calls = []
         walk = verify._coned_subsets
         monkeypatch.setattr(
@@ -202,7 +203,38 @@ class TestLemmaOracle:
             report = verify_directory_lemmas(g, base)
             stray = any(f["clause"] == "cone-address-intersects" for f in report.failures)
             walks[stray].add(len(calls))
-        assert walks == {True: {2}, False: {1}}
+        assert walks == {True: {1}, False: {0}}
+
+    def test_shared_subset_of_two_addresses_is_checked_once(self, monkeypatch):
+        # With sigma forced to 2, the addresses {0, 1, 2} of vertex 4 and
+        # {0, 1, 3} of vertex 5 share the pair {0, 1}; no vertex has a
+        # two-member address, so every pair fails, in lexicographic order.
+        g = Graph(6, [(4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 3)])
+        assert star_number(g)[0] == 3
+        monkeypatch.setattr(verify, "_star", lambda g: (2, 0))
+        report = verify_directory_lemmas(g, [0, 1, 2, 3])
+        clause_1 = [
+            f for f in report.failures if f["clause"] == "exact-neighbourhood-equals-common"
+        ]
+        assert [f["subset"] for f in clause_1] == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]
+        assert clause_1[0] == {
+            "clause": "exact-neighbourhood-equals-common",
+            "subset": [0, 1],
+            "exact": [],
+            "common": [4, 5],
+        }
+        assert (report.instances, report.failures) == brute_directory_lemmas(
+            g, [0, 1, 2, 3], 2
+        )
+
+    def test_no_sigma_address_means_no_clause_1_instance(self):
+        # The centre of K_{1,3} alone is a base; sigma is 3, every leaf's
+        # address is {0}, so the only instances are clause 2's edges.
+        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert star_number(g)[0] == 3
+        report = verify_directory_lemmas(g, [0])
+        assert report.passed
+        assert report.instances == g.edge_count() == 3
 
     def test_true_star_number_never_fails(self, oracle_cases):
         for g, base, sigma in oracle_cases:
