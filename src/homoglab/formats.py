@@ -27,8 +27,9 @@ _G6_HEADER = ">>graph6<<"
 # The six bits, high bit first, of each graph6 body character.
 _G6_BITS = {c + 63: f"{c:06b}" for c in range(64)}
 
-# Largest order the graph6 writer can encode; the edge-list reader rejects
-# anything above it before a single vertex is allocated.
+# Largest order of the 4-byte graph6 order field, and so the largest order
+# the graph6 writer encodes and the reader accepts; the edge-list reader
+# rejects anything above it before a single vertex is allocated.
 _MAX_ORDER = 258047
 
 
@@ -53,6 +54,8 @@ def graph_from_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER) :]
     if not s:
         raise FormatError("empty graph6 input")
+    if s.startswith("~~"):  # the 8-byte order field, for orders above _MAX_ORDER
+        raise FormatError(f"graph6 orders above {_MAX_ORDER} ('~~' header) are not supported")
     if min(s) < "?" or max(s) > "~":
         raise FormatError("graph6 input contains bytes outside 63..126")
     if s[0] == "~":

@@ -10,9 +10,9 @@ exact neighbourhoods and domination numbers relative to a directory.
 
 All functions are pure and all returned vertex sets are sorted lists, with
 ties broken toward the lexicographically least witness.  A graph value
-keeps a private memo of alpha and sigma, filled by the first call that
-searches for either; it depends only on the graph, and equality, hashing
-and repr ignore it.
+keeps private memos of alpha, sigma and its degree-ordered view, filled by
+the first call that needs each; they depend only on the graph, and
+equality, hashing and repr ignore them.
 """
 
 from __future__ import annotations
@@ -129,13 +129,14 @@ def _masks_valid_packed(masks: tuple[int, ...]) -> bool:
 class Graph:
     """An immutable simple graph: symmetric irreflexive adjacency on 0..n-1.
 
-    _alpha_memo holds alpha and _star_memo the (sigma, least vertex) pair,
-    each None until a search finds it.  They depend only on the graph, so
-    threads that race on one can only repeat a search, and they take no
-    part in equality, hashing or repr.
+    _alpha_memo holds alpha, _star_memo the (sigma, least vertex) pair and
+    _view_memo the packed rows of the complement view, each None until a
+    call computes it.  They depend only on the graph, so threads that race
+    on one can only repeat the work, and they take no part in equality,
+    hashing or repr.
     """
 
-    __slots__ = ("n", "_adj", "_alpha_memo", "_star_memo")
+    __slots__ = ("n", "_adj", "_alpha_memo", "_star_memo", "_view_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -150,7 +151,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self._alpha_memo = self._star_memo = None
+        self._alpha_memo = self._star_memo = self._view_memo = None
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "Graph":
@@ -171,7 +172,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = len(masks)
         g._adj = masks
-        g._alpha_memo = g._star_memo = None
+        g._alpha_memo = g._star_memo = g._view_memo = None
         return g
 
     @property
@@ -338,9 +339,9 @@ def is_connected(g: Graph) -> bool:
 # --- exact independence machinery -----------------------------------------
 #
 # Independent sets of g are cliques of its complement, and two searches
-# over the complement masks serve every caller.  Both prune with the same
-# greedy colouring bound: a candidate set split into c colour classes holds
-# no clique of more than c vertices.
+# over the complement serve every caller.  Both prune with the same greedy
+# colouring bound: a candidate set split into c colour classes holds no
+# clique of more than c vertices.
 #
 # * _max_clique finds the clique number by branch and bound, and keeps the
 #   first clique of that size it meets.
@@ -352,10 +353,11 @@ def is_connected(g: Graph) -> bool:
 # Both walk an explicit stack with one frame per chosen vertex: the colour
 # order still to branch on, from its far end, and the candidates not yet
 # branched on.  So the size of a clique is bounded by memory, not by the
-# recursion limit.  At the level that needs one more vertex, every
-# candidate completes a clique, and _cliques lists them with no colouring
-# and no frame.  A candidate set whose colouring gives every vertex its own
-# colour is a clique, which _max_clique takes whole.
+# recursion limit.  When two vertices are still needed, every edge of the
+# complement within the candidates completes a clique, and _cliques lists
+# those edges with no colouring and no frame.  A candidate set whose
+# colouring gives every vertex its own colour is a clique, which
+# _max_clique takes whole.
 #
 # The optimiser stays separate: asking _cliques for one clique at each
 # size in turn found the clique number about three times more slowly on
@@ -364,50 +366,51 @@ def is_connected(g: Graph) -> bool:
 # fills a memo slot, it hands that clique to _lex_least_clique as the first
 # completion, so the walk takes its labels unprobed.
 #
-# Both searches run on _complement_view, the complement relabelled so that
-# bit i stands for order[i], the vertex with the i-th fewest neighbours in
-# g (ties by label).  The greedy colouring then starts from the vertices of
-# highest complement degree, the initial order of Tomita and Seki's MCQ,
-# and branching starts from the far end.  _color_order lists only the
-# vertices whose colour can still reach the cut its caller passes (MCQ
-# again): the others would be cut on sight.  On G(110, 0.1), seed 1, the
-# relabel took alpha from 3-5 s to under 0.5 s (2 vCPU, CPython 3.11.7).
-# The view also holds keep, g itself in the same bits: keep[i] is the set
-# of vertices that may share a colour class with i, and, for star_number,
-# the neighbourhood of order[i].  Every vertex set a public call returns is
-# mapped back through order, and the lexicographic witnesses walk
-# candidates by original label, so results do not depend on the
-# relabelling.
+# Both searches run on _complement_view, g relabelled so that bit i stands
+# for order[i], the vertex with the i-th fewest neighbours in g (ties by
+# label).  The greedy colouring then starts from the vertices of highest
+# complement degree, the initial order of Tomita and Seki's MCQ, and
+# branching starts from the far end.  _color_order lists only the vertices
+# whose colour can still reach the cut its caller passes (MCQ again): the
+# others would be cut on sight, so the classes up to the cut are built in
+# a loop that lists nothing.  On G(110, 0.1), seed 1, the relabel took
+# alpha from 3-5 s to under 0.5 s (2 vCPU, CPython 3.11.7).  The view
+# holds keep, g's own rows in the view's bits: keep[i] is the set of
+# vertices that may share a colour class with i, and, for star_number,
+# the neighbourhood of order[i].  It holds no complement rows: a search
+# only ever meets the complement neighbourhood of v within a candidate set
+# that no longer holds v, and there it is the set minus keep[v].  Every
+# vertex set a public call returns is mapped back through order, and the
+# lexicographic witnesses walk candidates by original label, so results
+# do not depend on the relabelling.
 #
-# Each public call builds the view afresh; only the numbers it yields,
-# alpha and the (sigma, least vertex) pair, are kept in the graph's
-# _alpha_memo and _star_memo slots, so no graph searches for either twice.
-# The view is not kept: on an order-36 graph it holds about 3.7 KB for as
-# long as the graph lives, which a caller holding many graphs pays for in
-# memory, while a rebuild costs tens of microseconds.
+# Building the view remaps every row bit by bit, about 34 us on an
+# order-36 graph.  So the first build also packs the keep rows into the
+# graph's _view_memo slot, one bytes object of n * ceil(n / 8) bytes: 213
+# bytes retained per order-36 graph by tracemalloc, where keeping the
+# tuple view (about 3.7 KB, complement rows included) cost about 1.3 MB of
+# peak RSS on 600 such graphs.  empty_graph(5000) keeps about 3.1 MB.
+# Every later build re-sorts the degree order and unpacks the rows, about
+# 7 us at order 36.  alpha and the (sigma, least vertex) pair are kept in
+# the _alpha_memo and _star_memo slots, so no graph searches for either
+# twice, and _alpha and _star hand back the view their search ran on, so
+# a public call builds one view at most.
 
-_View = tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]
+_View = tuple[list[int], list[int], list[int]]
 
 
-def _complement_view(g: Graph) -> _View:
-    """(co, keep, order, pos): the complement of g with bit i standing for
-    vertex order[i], g itself in the same bits, and pos the inverse of order.
+def _view_rows(masks: tuple[int, ...], order: list[int], pos: list[int]) -> list[int]:
+    """The rows of masks in the view's bits: row i is masks[order[i]] with
+    bit pos[u] for each member u.
 
-    Each row is remapped from the sparser of g's row and its complement's,
-    and the other follows by one flip, so building the view costs at most
-    n/2 bit moves per vertex.
+    Each row is remapped from the sparser of the row and its complement,
+    and flipped when it took the complement, so this costs at most n/2 bit
+    moves per vertex.
     """
-    n = g.n
-    masks = g.masks
-    order = sorted(range(n), key=[m.bit_count() for m in masks].__getitem__)
-    pos = [0] * n
-    bit = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-        bit[v] = 1 << i
+    n = len(masks)
+    bit = [1 << i for i in pos]
     full = (1 << n) - 1
-    co = []
-    keep = []
+    rows = []
     for i, v in enumerate(order):
         row = masks[v]
         sparse = 2 * row.bit_count() <= n
@@ -418,35 +421,61 @@ def _complement_view(g: Graph) -> _View:
             low = row & -row
             moved |= bit[low.bit_length() - 1]
             row ^= low
-        other = moved ^ full ^ (1 << i)
-        keep.append(moved if sparse else other)
-        co.append(other if sparse else moved)
-    return tuple(co), tuple(keep), order, pos
+        rows.append(moved if sparse else moved ^ full ^ (1 << i))
+    return rows
 
 
-def _color_order(keep: tuple[int, ...], cand: int, cut: int) -> list[tuple[int, int]]:
+def _complement_view(g: Graph) -> _View:
+    """(keep, order, pos): g with bit i standing for vertex order[i], and
+    pos the inverse of order.
+
+    The first build remaps the rows and packs them into g's view memo;
+    every later one unpacks them from it.
+    """
+    n = g.n
+    masks = g.masks
+    order = sorted(range(n), key=[m.bit_count() for m in masks].__getitem__)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    width = (n + 7) // 8 or 1  # order 0 has no rows, but range needs a step
+    packed = g._view_memo
+    if packed is None:
+        keep = _view_rows(masks, order, pos)
+        g._view_memo = b"".join([row.to_bytes(width, "little") for row in keep])
+        return keep, order, pos
+    from_bytes = int.from_bytes
+    keep = [from_bytes(packed[k : k + width], "little") for k in range(0, n * width, width)]
+    return keep, order, pos
+
+
+def _color_order(keep: list[int], cand: int, cut: int) -> list[tuple[int, int]]:
     """Greedy colouring of cand; returns (vertex, colour) in colour order for
     the vertices of colour above cut.  keep[v] holds the vertices that may
     share v's colour: its non-neighbours in the complement."""
-    order = []
     uncolored = cand
     color = 0
+    while uncolored and color < cut:
+        color += 1
+        avail = uncolored
+        while avail:
+            low = avail & -avail
+            uncolored ^= low
+            avail &= keep[low.bit_length() - 1]
+    order = []
     while uncolored:
         color += 1
         avail = uncolored
         while avail:
             low = avail & -avail
             v = low.bit_length() - 1
-            if color > cut:
-                order.append((v, color))
+            order.append((v, color))
             uncolored ^= low
             avail &= keep[v]
     return order
 
 
-def _max_clique(
-    adj: tuple[int, ...], keep: tuple[int, ...], cand: int, floor: int = 0
-) -> tuple[int, list[int]]:
+def _max_clique(keep: list[int], cand: int, floor: int = 0) -> tuple[int, list[int]]:
     """(clique number of cand, a clique of that size), or (floor, []) when no
     clique within cand is larger than floor.
 
@@ -466,8 +495,8 @@ def _max_clique(
                 chosen.pop()
             continue
         v = todo.pop()[0]
-        frame[1] = local ^ (1 << v)
-        sub = local & adj[v]
+        frame[1] = local = local ^ (1 << v)
+        sub = local & ~keep[v]
         size = len(chosen) + 1
         todo = _color_order(keep, sub, best - size)
         if todo and todo[-1][1] < sub.bit_count():
@@ -480,12 +509,13 @@ def _max_clique(
 
 
 def _cliques(
-    adj: tuple[int, ...], keep: tuple[int, ...], cand: int, need: int, limit: int | None = None
+    keep: list[int], cand: int, need: int, limit: int | None = None
 ) -> list[list[int]]:
     """The cliques of exactly need vertices within cand, in branch order.
 
     Only vertices whose colour reaches the number still needed are branched
-    on; the search stops once limit cliques are found.
+    on, and the last two vertices are read off the candidates uncoloured;
+    the search stops once limit cliques are found.
     """
     if need < 2:
         return [[v] for v in _iter_bits(cand)][:limit] if need else [[]]
@@ -500,14 +530,27 @@ def _cliques(
                 chosen.pop()
             continue
         v = todo.pop()[0]
-        frame[1] = local ^ (1 << v)
-        sub = local & adj[v]
+        frame[1] = local = local ^ (1 << v)
+        sub = local & ~keep[v]
         left = need - len(stack)
-        if left > 1:
+        if left > 2:
             todo = _color_order(keep, sub, left - 1)
             if todo:
                 chosen.append(v)
                 stack.append([todo, sub])
+            continue
+        if left == 2:  # each complement edge within sub completes a clique
+            while sub:
+                low = sub & -sub
+                sub ^= low
+                w = low.bit_length() - 1
+                rest = sub & ~keep[w]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    found.append([*chosen, v, w, low.bit_length() - 1])
+                    if len(found) == limit:
+                        return found
             continue
         for w in _iter_bits(sub):
             found.append([*chosen, v, w])
@@ -528,7 +571,7 @@ def _lex_least_clique(view: _View, cand: int, size: int, known: list[int]) -> li
     walk reaches its least label that label is taken unprobed, and only
     lesser labels are probed.
     """
-    co, keep, order, pos = view
+    keep, order, pos = view
     known = sorted((order[i] for i in known), reverse=True)
     chosen: list[int] = []
     start = 0
@@ -538,11 +581,11 @@ def _lex_least_clique(view: _View, cand: int, size: int, known: list[int]) -> li
             if not cand & bit:
                 continue
             cand ^= bit  # cand keeps only the labels above v
-            rest = cand & co[pos[v]]
+            rest = cand & ~keep[pos[v]]
             if known and known[-1] == v:
                 known.pop()
                 break
-            found = rest.bit_count() >= need - 1 and _cliques(co, keep, rest, need - 1, 1)
+            found = rest.bit_count() >= need - 1 and _cliques(keep, rest, need - 1, 1)
             if found:
                 known = sorted((order[i] for i in found[0]), reverse=True)
                 break
@@ -554,33 +597,34 @@ def _lex_least_clique(view: _View, cand: int, size: int, known: list[int]) -> li
     return chosen
 
 
-def _alpha(g: Graph, view: _View | None = None) -> tuple[int, list[int]]:
-    """alpha(g), searched once per graph, with the clique of the complement
-    view that this call's search found ([] when the memo held alpha); view
-    is g's complement view when the caller has built it."""
+def _alpha(g: Graph) -> tuple[int, list[int], _View | None]:
+    """alpha(g), searched once per graph, with the complement view this
+    call's search ran on and the clique it found there (an empty list and
+    None when the memo held alpha)."""
     if g._alpha_memo is not None:
-        return g._alpha_memo, []
-    co, keep, _, _ = view or _complement_view(g)
-    g._alpha_memo, clique = _max_clique(co, keep, (1 << g.n) - 1)
-    return g._alpha_memo, clique
+        return g._alpha_memo, [], None
+    view = _complement_view(g)
+    g._alpha_memo, clique = _max_clique(view[0], (1 << g.n) - 1)
+    return g._alpha_memo, clique, view
 
 
-def _star(g: Graph, view: _View | None = None) -> tuple[int, int, list[int]]:
+def _star(g: Graph) -> tuple[int, int, list[int], _View | None]:
     """sigma(g) and the least vertex attaining it, searched once per graph,
-    with the clique of the complement view that this call's search found in
-    its neighbourhood ([] when the memo held sigma); view is g's complement
-    view when the caller has built it."""
+    with the complement view this call's search ran on and the clique it
+    found there in that vertex's neighbourhood (an empty list and None when
+    the memo held sigma)."""
     if g._star_memo is not None:
-        return (*g._star_memo, [])
-    sigma, v, clique = _star_vertex(view or _complement_view(g))
+        return (*g._star_memo, [], None)
+    view = _complement_view(g)
+    sigma, v, clique = _star_vertex(view)
     g._star_memo = sigma, v
-    return sigma, v, clique
+    return sigma, v, clique, view
 
 
 def independence_number(g: Graph) -> tuple[int, list[int]]:
     """Exact alpha(g) with its lexicographically least witness set."""
-    view = _complement_view(g)
-    alpha, known = _alpha(g, view)
+    alpha, known, view = _alpha(g)
+    view = view or _complement_view(g)
     return alpha, _lex_least_clique(view, (1 << g.n) - 1, alpha, known)
 
 
@@ -593,22 +637,22 @@ def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
     """
     if g.n == 0:
         return 0, None
-    view = _complement_view(g)
-    best, v, known = _star(g, view)
-    return best, (v, _lex_least_clique(view, view[1][view[3][v]], best, known))
+    best, v, known, view = _star(g)
+    view = keep, _, pos = view or _complement_view(g)
+    return best, (v, _lex_least_clique(view, keep[pos[v]], best, known))
 
 
 def _star_vertex(view: _View) -> tuple[int, int, list[int]]:
     """sigma, the least vertex attaining it (0 for edgeless graphs), and a
     clique of sigma vertices of the complement within its neighbourhood."""
-    co, keep, _, pos = view
+    keep, _, pos = view
     best = 0
     best_v = 0
     clique: list[int] = []
     for v, i in enumerate(pos):
         if keep[i].bit_count() <= best:
             continue
-        size, found = _max_clique(co, keep, keep[i], best)
+        size, found = _max_clique(keep, keep[i], best)
         if size > best:
             best, best_v, clique = size, v, found
     return best, best_v, clique
@@ -624,9 +668,9 @@ def directories(g: Graph) -> list[list[int]]:
     """
     if not any(g.masks):
         raise StarNumberZero("directories are undefined for edgeless graphs")
-    view = co, keep, order, _ = _complement_view(g)
-    cliques = _cliques(co, keep, (1 << g.n) - 1, _alpha(g, view)[0])
-    return sorted(sorted(order[i] for i in c) for c in cliques)
+    alpha, _, view = _alpha(g)
+    keep, order, _ = view or _complement_view(g)
+    return sorted(sorted(order[i] for i in c) for c in _cliques(keep, (1 << g.n) - 1, alpha))
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:

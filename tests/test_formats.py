@@ -97,6 +97,15 @@ def test_graph6_bytes_outside_the_alphabet_rejected(bad):
         graph_from_graph6(bad)
 
 
+@pytest.mark.parametrize("text", ["~~??????", ">>graph6<<~~??????", "~~?????~Bw", "~~"])
+def test_graph6_eight_byte_order_field_rejected(text):
+    # "~~" opens the 8-byte order field of orders 258,048 and up.  It was
+    # read as the 4-byte field, so "~~??????" was taken for order 258,048
+    # and refused for its body length.
+    with pytest.raises(FormatError, match=r"orders above 258047 \('~~' header\) are not supported"):
+        graph_from_graph6(text)
+
+
 def test_edgelist_order_cap(monkeypatch):
     # A stub stands in for Graph, so no order here allocates any vertices.
     orders = []

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from homoglab import graphs as graph_module
 from homoglab.errors import NotADirectoryBase, StarNumberZero
+from homoglab.formats import graph_from_graph6, graph_to_graph6
 from homoglab.graphs import (
     Graph,
     address,
@@ -38,7 +39,7 @@ from homoglab.graphs import (
 )
 from homoglab.homogeneity import kk_okk
 from homoglab.morphisms import canonical_code, enumerate_graphs
-from homoglab.verify import random_graph
+from homoglab.verify import random_graph, verify_directory_lemmas
 
 from conftest import (
     brute_alpha,
@@ -582,13 +583,15 @@ class TestCliqueEngine:
         rng = random.Random(2111)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 24), rng.choice((0.1, 0.3, 0.5, 0.8)))
-            co, keep, order, _ = graph_module._complement_view(g)
+            keep, order, _ = graph_module._complement_view(g)
+            full = (1 << g.n) - 1
+            co = [full ^ keep[i] ^ 1 << i for i in range(g.n)]
             G = nx.Graph()
             G.add_nodes_from(range(g.n))
             G.add_edges_from(g.edges())
             co_nx = nx.complement(G)
             for i, cand in [(None, (1 << g.n) - 1)] + list(enumerate(keep)):
-                size, clique = graph_module._max_clique(co, keep, cand)
+                size, clique = graph_module._max_clique(keep, cand)
                 labels = [order[j] for j in clique]
                 if i is None:
                     want = nx.max_weight_clique(co_nx, weight=None)[1]
@@ -599,7 +602,7 @@ class TestCliqueEngine:
                 assert all(co[a] >> b & 1 for a, b in combinations(clique, 2))
                 assert is_independent(g, labels)
                 # Nothing beats a floor at the clique number.
-                assert graph_module._max_clique(co, keep, cand, size) == (size, [])
+                assert graph_module._max_clique(keep, cand, size) == (size, [])
 
     def test_alpha_past_the_recursion_limit(self, monkeypatch):
         # The complement of I1000 is K1000: the colouring of the first
@@ -827,7 +830,7 @@ class TestProfile:
         g = random_graph(random.Random(5), 30, 0.2)
         full = (1 << g.n) - 1
         alpha, witness = independence_number(g)
-        calls = _count_calls(monkeypatch, "_max_clique", lambda adj, keep, cand, *r: cand == full)
+        calls = _count_calls(monkeypatch, "_max_clique", lambda keep, cand, *r: cand == full)
         dirs = directories(g)
         assert dirs[0] == witness and len(dirs[0]) == alpha
         assert is_directory(g, witness)
@@ -856,29 +859,69 @@ class TestProfile:
 
     def test_new_graphs_start_cold(self):
         g = random_graph(random.Random(2), 12, 0.3)
-        assert g._alpha_memo is None and g._star_memo is None
+        assert g._alpha_memo is None and g._star_memo is None and g._view_memo is None
         independence_number(g)
         star_number(g)
         assert g._alpha_memo is not None and g._star_memo is not None
+        assert g._view_memo is not None
         made = [
             g.relabel(list(range(g.n))),
             complement(g),
             induced_subgraph(g, range(g.n))[0],
             Graph.from_masks(g.masks),
             Graph(g.n, g.edges()),
+            graph_from_graph6(graph_to_graph6(g)),
         ]
         for h in made:
             assert h == g or h == complement(g)
-            assert h._alpha_memo is None and h._star_memo is None
+            assert h._alpha_memo is None and h._star_memo is None and h._view_memo is None
 
     def test_warm_equals_cold(self):
         g = random_graph(random.Random(3), 15, 0.3)
         cold = Graph(g.n, g.edges())
         analyze(g)
         assert g._alpha_memo is not None and g._star_memo is not None
-        assert cold._alpha_memo is None and cold._star_memo is None
+        assert g._view_memo is not None
+        assert cold._alpha_memo is None and cold._star_memo is None and cold._view_memo is None
         assert g == cold and hash(g) == hash(cold) and repr(g) == repr(cold)
         assert len({g, cold}) == 1
+
+    def test_view_memo_unpacks_to_the_fresh_view(self):
+        # The first build remaps the rows and packs them, n * ceil(n / 8)
+        # bytes; later builds unpack them.  Orders around a byte boundary,
+        # and order 0, whose rows have width 0.
+        rng = random.Random(25)
+        made = [empty_graph(0), empty_graph(9), complete_graph(9)]
+        for n in (1, 7, 8, 9, 63, 64, 65):
+            made += [random_graph(rng, n, p) for p in (0.1, 0.5, 0.9)]
+        made += [random_graph(rng, rng.randint(0, 40), rng.random()) for _ in range(30)]
+        for g in made:
+            fresh = graph_module._complement_view(g)
+            assert len(g._view_memo) == g.n * ((g.n + 7) // 8)
+            assert graph_module._complement_view(g) == fresh
+            keep, order, pos = fresh
+            assert sorted(order) == list(range(g.n))
+            assert all(pos[v] == i for i, v in enumerate(order))
+            assert all(
+                (keep[i] >> j & 1) == g.has_edge(order[i], order[j])
+                for i in range(g.n)
+                for j in range(g.n)
+                if i != j
+            )
+        assert analyze(empty_graph(0)).to_dict()["independence_number"] == 0
+
+    def test_one_view_build_per_graph(self, monkeypatch):
+        # Only the first view build remaps the rows; the later ones unpack
+        # the graph's view memo.  When each public call built its own view,
+        # these five calls remapped three times or more.
+        g = random_graph(random.Random(8), 30, 0.2)
+        calls = _count_calls(monkeypatch, "_view_rows")
+        alpha, witness = independence_number(g)
+        star_number(g)
+        directories(g)
+        verify_directory_lemmas(g, witness)
+        analyze(g)
+        assert len(calls) == 1
 
     def test_every_call_order_matches_the_oracles(self):
         rng = random.Random(41)
