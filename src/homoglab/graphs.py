@@ -329,6 +329,19 @@ def _components(g: Graph) -> Iterator[int]:
         rest &= ~comp
 
 
+def _clique_components(g: Graph) -> list[int] | None:
+    """The component masks by least vertex, or None when some component is
+    not a clique: a component is one when every member's closed
+    neighbourhood is the whole component.  The scan stops at the first
+    component that is not."""
+    comps = []
+    for comp in _components(g):
+        if any(g.masks[v] | 1 << v != comp for v in _iter_bits(comp)):
+            return None
+        comps.append(comp)
+    return comps
+
+
 def is_connected(g: Graph) -> bool:
     """Breadth-first reachability check; vacuously true for order <= 1."""
     if g.n <= 1:

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OrderTooLarge
-from .graphs import Graph, _components, _iter_bits, complement
+from .graphs import Graph, _clique_components, _iter_bits, complement
 from .morphisms import (
     KINDS,
     MorphismConstraints,
@@ -366,12 +366,8 @@ def _i_to_automorphism_failure(g: Graph) -> dict | None:
 
 def _equal_cliques(g: Graph) -> bool:
     """Whether g is mK_r: every component a clique, all of one size."""
-    sizes = set()
-    for comp in _components(g):
-        if any(g.masks[v] | 1 << v != comp for v in _iter_bits(comp)):
-            return False
-        sizes.add(comp.bit_count())
-    return len(sizes) <= 1
+    comps = _clique_components(g)
+    return comps is not None and len({comp.bit_count() for comp in comps}) <= 1
 
 
 # The strongly regular parameters (k, lambda, mu) of C5 and K3xK3, by

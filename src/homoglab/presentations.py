@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .errors import BadParams, BudgetExhausted
-from .graphs import Graph, _components, _iter_bits, _tile, complement as graph_complement
+from .graphs import Graph, _clique_components, _iter_bits, _tile, complement as graph_complement
 
 __all__ = [
     "Presentation",
@@ -849,25 +849,6 @@ class ClassificationReport:
         return {"verdict": self.verdict, "budget": self.budget, "evidence": self.evidence}
 
 
-def _clique_components(g: Graph) -> tuple[bool, int, int, list[int]] | None:
-    """(all components cliques, count, max size, per-vertex component size)."""
-    if g.n == 0:
-        return None
-    count = 0
-    max_size = 0
-    all_cliques = True
-    sizes = [0] * g.n
-    for comp in _components(g):
-        size = comp.bit_count()
-        count += 1
-        max_size = max(max_size, size)
-        for v in _iter_bits(comp):
-            sizes[v] = size
-            if (g.masks[v] & comp).bit_count() != size - 1:
-                all_cliques = False
-    return all_cliques, count, max_size, sizes
-
-
 def _ladder(p: Presentation, budget: int) -> dict[int, Graph]:
     """The truncations classify_mb compares, by increasing order.
 
@@ -909,12 +890,16 @@ def classify_mb(p: Presentation, budget: int) -> ClassificationReport:
         maxima = []
         by_vertex = []
         for g in graphs:
-            stats = _clique_components(g)
-            if stats is None or not stats[0]:
+            comps = _clique_components(g)
+            if comps is None:
                 return None
-            counts.append(stats[1])
-            maxima.append(stats[2])
-            by_vertex.append(stats[3])
+            sizes = [0] * g.n
+            for comp in comps:
+                for v in _iter_bits(comp):
+                    sizes[v] = comp.bit_count()
+            counts.append(len(comps))
+            maxima.append(max(sizes))
+            by_vertex.append(sizes)
         if not all(c2 > c1 for c1, c2 in zip(counts, counts[1:])):
             return None
         # Every clique already present must keep growing; cliques of fixed

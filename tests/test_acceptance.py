@@ -226,3 +226,13 @@ def test_criterion_8_neighborhood_closure(cross_validation):
         f"HH-positive graphs are HH-positive, zero exceptions",
     )
     assert not closure_failures
+
+
+def test_cross_validation_counts(cross_validation):
+    # 1,252 classes of orders 1..7, plus 104 closure sets (at most two
+    # vertices with a common neighbour) over the 16 HH-positive classes: an
+    # enumeration that drops the cone filter or a set size moves the total.
+    report = cross_validation
+    assert sum(report.extra["classes_per_order"].values()) == 1252
+    assert report.extra["hh_positive_count"] == 16
+    assert report.instances == 1252 + 104

@@ -444,4 +444,6 @@ class TestVerify:
 
     def test_cross_validate_beyond_cap_rejected(self, capsys):
         assert run(["verify", "cross-validate", "--n-max", "9"]) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "orders up to 8" in captured.err

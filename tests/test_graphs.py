@@ -790,6 +790,38 @@ class TestComponents:
         assert not is_connected(g)
         assert list(graph_module._components(empty_graph(0))) == []
 
+    def test_clique_components(self):
+        # The component masks by least vertex when every component is a
+        # clique, else None; the random unions sometimes lose one edge.
+        rng = random.Random(19)
+        graphs = [empty_graph(1), complete_graph(3), path_graph(4)]
+        graphs += [_random_clique_union(rng) for _ in range(40)]
+        seen = set()
+        for g in graphs:
+            comps = brute_components(g)
+            cliques = all(g.has_edge(u, v) for c in comps for u, v in combinations(c, 2))
+            expected = [sum(1 << v for v in c) for c in comps] if cliques else None
+            assert graph_module._clique_components(g) == expected
+            seen.add(cliques)
+        assert seen == {True, False}
+        assert graph_module._clique_components(empty_graph(0)) == []
+
+
+def _random_clique_union(rng) -> Graph:
+    """Cliques of random sizes under a random labelling, sometimes with one
+    edge removed."""
+    parts = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+    labels = list(range(sum(parts)))
+    rng.shuffle(labels)
+    edges, at = [], 0
+    for k in parts:
+        block = labels[at:at + k]
+        edges += list(combinations(block, 2))
+        at += k
+    if edges and rng.random() < 0.5:
+        edges.pop(rng.randrange(len(edges)))
+    return Graph(len(labels), edges)
+
 
 def _count_calls(monkeypatch, name, keep=lambda *args: True):
     """Wrap graphs.<name> and return the list of its recorded argument

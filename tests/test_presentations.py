@@ -16,7 +16,6 @@ from homoglab.graphs import (
     empty_graph,
     independence_number,
     induced_subgraph,
-    path_graph,
     star_number,
 )
 from homoglab.morphisms import canonical_code
@@ -426,38 +425,27 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_mb(parse_spec("rado_bit"), 8)
 
-    def test_clique_component_stats(self):
-        # Components found by closure: whether each is a clique, their
-        # count, the largest size, and each vertex's component size.
-        rng = random.Random(19)
-        graphs = [empty_graph(1), complete_graph(3), path_graph(4)]
-        graphs += [_random_clique_union(rng) for _ in range(10)]
-        graphs += [truncate(make_presentation("i_omega_k_omega"), n) for n in (5, 12)]
-        for g in graphs:
-            comps = brute_components(g)
-            sizes = [next(len(c) for c in comps if v in c) for v in range(g.n)]
-            cliques = all(
-                g.has_edge(u, v) for c in comps for u, v in combinations(sorted(c), 2)
-            )
-            expected = (cliques, len(comps), max(map(len, comps)), sizes)
-            assert presentations._clique_components(g) == expected
-        assert presentations._clique_components(empty_graph(0)) is None
-
-
-def _random_clique_union(rng) -> Graph:
-    """Cliques of random sizes under a random labelling, sometimes with one
-    edge removed."""
-    parts = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
-    labels = list(range(sum(parts)))
-    rng.shuffle(labels)
-    edges, at = [], 0
-    for k in parts:
-        block = labels[at:at + k]
-        edges += list(combinations(block, 2))
-        at += k
-    if edges and rng.random() < 0.5:
-        edges.pop(rng.randrange(len(edges)))
-    return Graph(len(labels), edges)
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("i_omega_k_omega", "clique_components"),
+            ("lex:i_omega,k_omega", "clique_components"),
+            ("complement_of:i_omega_k_omega", "complement_clique_components"),
+        ],
+    )
+    def test_clique_component_evidence(self, spec, key):
+        # The count and largest size of the components on every rung, from
+        # the components found by closure.
+        p = parse_spec(spec)
+        report = classify_mb(p, 200)
+        rungs = [truncate(p, s) for s in report.evidence["ladder"]]
+        if key.startswith("complement"):
+            rungs = [complement(g) for g in rungs]
+        comps = [brute_components(g) for g in rungs]
+        assert report.evidence[key] == {
+            "component_counts": [len(c) for c in comps],
+            "max_component_sizes": [max(map(len, c)) for c in comps],
+        }
 
 
 def _oracle_only(p: Presentation) -> Presentation:

@@ -156,14 +156,13 @@ def test_one_map_walker():
 
 
 def test_searches_keep_no_nested_function():
-    # The clique searches and the coned-subset walk each keep an explicit
-    # stack, so none of them can recurse once per level again; nor can the
-    # domination number, which needs no recursion at all.
+    # The clique searches each keep an explicit stack, so none of them can
+    # recurse once per level again; nor can the domination number, which
+    # needs no recursion at all.
     searches = {
         "_max_clique",
         "_cliques",
         "_lex_least_clique",
-        "_coned_subsets",
         "domination_number",
     }
     found = {}
