@@ -10,8 +10,11 @@ Two independent routes decide HH-homogeneity of a finite graph:
 * decide_hh_conditions tests the combinatorial characterization: no age
   class may have both a coned and a cone-free embedding, and the coned part
   of the age must be upward closed under the surjective-homomorphism order.
-  It reads the age one subset size at a time and stops after the first
-  size with a class of both kinds; a pass reads the whole age.
+  A coned set lies in the neighbourhood of its cone vertex, so no class
+  larger than the maximum degree is coned, and no such class can take
+  part in a failure of either condition.  The decider reads the age one
+  subset size at a time up to the maximum degree, and stops after the
+  first size with a class of both kinds.
 
 Agreement of the two on every small graph is part of the acceptance suite.
 
@@ -440,32 +443,36 @@ def decide_xy(g: Graph, x: str, y: str) -> HomogReport:
     )
 
 
-def _conditions_failure(part: AgePartition) -> dict | None:
+def _conditions_failure(table: dict[bytes, list]) -> dict | None:
     """The first failure of condition 1, else of condition 2, as a
-    counterexample; None when both hold."""
-    if part.conflicts:
-        c = part.conflicts[0]
-        return {
-            "condition": 1,
-            "code": c.code,
-            "coned_embedding": list(c.coned_embedding),
-            "cone_vertex": c.cone_vertex,
-            "coneless_embedding": list(c.coneless_embedding),
-        }
-    kk_classes = [cls for cls in part.classes if cls.code in part.kk]
-    okk_classes = [cls for cls in part.classes if cls.code in part.okk]
-    for upper in kk_classes:
-        for lower in okk_classes:
-            surj = search_morphism(
-                upper.representative, lower.representative, None, _SURJECTIVE
-            )
+    counterexample, from a table of _age_levels entries; None when both
+    hold.  A code's first byte is its order, so sorting by code alone
+    lists the classes by order."""
+    codes = sorted(table)
+    for code in codes:
+        _, _, coned, coneless = table[code]
+        if coned is not None and coneless is not None:
+            return {
+                "condition": 1,
+                "code": code,
+                "coned_embedding": list(coned[0]),
+                "cone_vertex": coned[1],
+                "coneless_embedding": list(coneless),
+            }
+    # Condition 1 holds, so every class is coned or cone-free, not both.
+    reps = {code: Graph._of(table[code][0]) for code in codes}
+    kk = [code for code in codes if table[code][2] is not None]
+    okk = [code for code in codes if table[code][3] is not None]
+    for upper in kk:
+        for lower in okk:
+            surj = search_morphism(reps[upper], reps[lower], None, _SURJECTIVE)
             if surj is not None:
                 return {
                     "condition": 2,
-                    "upper_code": upper.code,
-                    "lower_code": lower.code,
-                    "upper_embedding": list(upper.embeddings[0]),
-                    "lower_embedding": list(lower.embeddings[0]),
+                    "upper_code": upper,
+                    "lower_code": lower,
+                    "upper_embedding": list(table[upper][1][0]),
+                    "lower_embedding": list(table[lower][1][0]),
                     "surjection": surj,
                 }
     return None
@@ -478,18 +485,23 @@ def decide_hh_conditions(g: Graph) -> HomogReport:
     Condition 2: the coned classes are upward closed under the surjective
     homomorphism order, tested as: no coned class maps onto a cone-free one.
 
-    The age is read one subset size at a time, and the scan stops after
-    the first size with a condition-1 conflict.  Codes sort by order first
-    and a class of size s is settled once size s is read, so the least
-    conflicting code so far is the one the whole age would report first.
-    A pass or a condition-2 failure reads the whole age.
+    A coned set lies in the neighbourhood of its cone vertex, so no class
+    larger than the maximum degree is coned; such a class is in neither a
+    condition-1 conflict nor, being larger than every coned class, the
+    image of a surjection from one.  So the age is read up to the maximum
+    degree, one subset size at a time, and the scan stops after the first
+    size with a condition-1 conflict.  Codes sort by order first and a
+    class of size s is settled once size s is read, so the first failure
+    is the one the whole age would report.
     """
+    if g.n > _ORDER_LIMIT:
+        raise OrderTooLarge(f"age computation capped at size {_ORDER_LIMIT}, got {g.n}")
     table: dict[bytes, list] = {}
-    for level in _age_levels(g, g.n):
+    for level in _age_levels(g, max(map(int.bit_count, g.masks), default=0)):
         table.update(level)
         if any(entry[2] is not None and entry[3] is not None for entry in level.values()):
             break
-    counterexample = _conditions_failure(_partition(table))
+    counterexample = _conditions_failure(table)
     return HomogReport(
         verdict=counterexample is None,
         x_kind="H",

@@ -382,8 +382,9 @@ class TestDecideConditions:
     def test_whole_age_always_read(self):
         # P5 is not HH, yet its age up to one vertex passes both conditions.
         # The conditions route stops reading the age early only on a
-        # condition-1 failure, so a truncated age is never taken as a pass,
-        # and it says no.
+        # condition-1 failure or past the maximum degree, beyond which no
+        # class is coned, so a truncated age is never taken as a pass, and
+        # it says no.
         g = path_graph(5)
         assert not decide_xy(g, "H", "H").verdict
         assert not decide_hh_conditions(g).verdict
@@ -392,9 +393,11 @@ class TestDecideConditions:
             decide_hh_conditions(g, k=1)
 
     def test_early_stop_matches_whole_age(self):
-        # The age is read one subset size at a time and the scan stops
-        # after the first size with a condition-1 conflict; the report must
-        # be the one the whole age gives.
+        # The age is read up to the maximum degree, one subset size at a
+        # time, and the scan stops after the first size with a condition-1
+        # conflict; the report must be the one the whole age gives.  Sparse
+        # graphs of order 7-10 have a maximum degree well below their
+        # order, and their complements one close to it.
         rng = random.Random(2718)
         sample = []
         for n in range(1, 7):
@@ -402,13 +405,21 @@ class TestDecideConditions:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 sample.append(rep.relabel(perm))
+        for n in range(7, 11):
+            for _ in range(4):
+                g = random_graph(rng, n, 0.2)
+                sample += [g, complement(g)]
         for g in sample + census_tail():
-            expected = _conditions_failure(kk_okk(g, g.n))
+            whole = {code: entry for level in homogeneity._age_levels(g, g.n)
+                     for code, entry in level.items()}
+            expected = _conditions_failure(whole)
             assert decide_hh_conditions(g).counterexample == expected, g.masks
 
     def test_early_stop_reads_only_the_orders_it_needs(self, monkeypatch):
         # Petersen has a conflict among its triples and P7 among its
-        # pairs; K4 is HH, so its whole age is read.
+        # pairs.  The other graphs have no conflict (K3xK3 fails condition
+        # 2), so their age is read up to their maximum degree: no larger
+        # class is coned.  I8 has none, so no code is asked at all.
         asked = []
         code = homogeneity._code
 
@@ -416,11 +427,23 @@ class TestDecideConditions:
             asked.append(len(adj))
             return code(adj)
 
+        rook = Graph(9, [(u, v) for u, v in combinations(range(9), 2)
+                         if u // 3 == v // 3 or u % 3 == v % 3])
         monkeypatch.setattr(homogeneity, "_code", recording)
-        for g, largest in ((petersen(), 3), (path_graph(7), 2), (complete_graph(4), 4)):
+        for g, largest in (
+            (petersen(), 3),
+            (path_graph(7), 2),
+            (complete_graph(4), 3),
+            (rook, 4),
+            (clique_union((3, 3, 3)), 2),
+            (clique_union((2, 2, 2, 2)), 1),
+        ):
             asked.clear()
             decide_hh_conditions(g)
             assert max(asked) == largest, g.masks
+        asked.clear()
+        assert decide_hh_conditions(empty_graph(8)).verdict
+        assert asked == []
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
