@@ -129,10 +129,11 @@ def _masks_valid_packed(masks: tuple[int, ...]) -> bool:
 class Graph:
     """An immutable simple graph: symmetric irreflexive adjacency on 0..n-1.
 
-    _alpha_memo holds alpha, _star_memo the (sigma, least vertex) pair and
-    _view_memo the packed rows of the complement view, each None until a
-    call computes it.  They depend only on the graph, so threads that race
-    on one can only repeat the work, and they take no part in equality,
+    _alpha_memo holds (alpha, clique), _star_memo (sigma, least vertex,
+    clique), each clique a tuple in the complement view's bits, and
+    _view_memo the packed rows of that view; each is None until a call
+    computes it.  They depend only on the graph, so threads that race on
+    one can only repeat the work, and they take no part in equality,
     hashing or repr.
     """
 
@@ -375,9 +376,9 @@ def is_connected(g: Graph) -> bool:
 # The optimiser stays separate: asking _cliques for one clique at each
 # size in turn found the clique number about three times more slowly on
 # 600 G(36, 0.17) graphs (2 vCPU, CPython 3.11.7).  The clique it keeps
-# seeds the lexicographic witness: when independence_number or star_number
-# fills a memo slot, it hands that clique to _lex_least_clique as the first
-# completion, so the walk takes its labels unprobed.
+# seeds the lexicographic witness: every independence_number or star_number
+# call, warm or cold, hands the clique kept in the memo to _lex_least_clique
+# as the first completion, so the walk takes its labels unprobed.
 #
 # Both searches run on _complement_view, g relabelled so that bit i stands
 # for order[i], the vertex with the i-th fewest neighbours in g (ties by
@@ -404,10 +405,15 @@ def is_connected(g: Graph) -> bool:
 # tuple view (about 3.7 KB, complement rows included) cost about 1.3 MB of
 # peak RSS on 600 such graphs.  empty_graph(5000) keeps about 3.1 MB.
 # Every later build re-sorts the degree order and unpacks the rows, about
-# 7 us at order 36.  alpha and the (sigma, least vertex) pair are kept in
-# the _alpha_memo and _star_memo slots, so no graph searches for either
-# twice, and _alpha and _star hand back the view their search ran on, so
-# a public call builds one view at most.
+# 7 us at order 36.
+#
+# _alpha and _star keep each search's whole result in the _alpha_memo and
+# _star_memo slots: the size, for sigma the least vertex, and the clique in
+# the view's bits.  The view's bit order depends on g alone, so a kept
+# clique holds in every later view, and no graph searches for either
+# twice.  Each public call builds its view first and passes it down, so it
+# builds one view at most; _alpha and _star build one only when called
+# without it, as is_directory and the verify suites call them.
 
 _View = tuple[list[int], list[int], list[int]]
 
@@ -572,12 +578,12 @@ def _cliques(
     return found
 
 
-def _lex_least_clique(view: _View, cand: int, size: int, known: list[int]) -> list[int]:
+def _lex_least_clique(view: _View, cand: int, size: int, known: tuple[int, ...]) -> list[int]:
     """Least clique of the given size within cand, by original labels.
 
     cand and known are in the bits of view, whose order and pos map between
-    its bits and the labels; the clique is returned as labels.  known is
-    empty or a clique of size vertices within cand.
+    its bits and the labels; the clique is returned as labels.  known is a
+    clique of size vertices within cand.
 
     Labels are walked upward.  known, and each completion that a successful
     probe returns, is a clique of need vertices within cand, so when the
@@ -610,34 +616,38 @@ def _lex_least_clique(view: _View, cand: int, size: int, known: list[int]) -> li
     return chosen
 
 
-def _alpha(g: Graph) -> tuple[int, list[int], _View | None]:
-    """alpha(g), searched once per graph, with the complement view this
-    call's search ran on and the clique it found there (an empty list and
-    None when the memo held alpha)."""
-    if g._alpha_memo is not None:
-        return g._alpha_memo, [], None
-    view = _complement_view(g)
-    g._alpha_memo, clique = _max_clique(view[0], (1 << g.n) - 1)
-    return g._alpha_memo, clique, view
+def _alpha(g: Graph, view: _View | None = None) -> tuple[int, tuple[int, ...]]:
+    """g's alpha memo: alpha(g) and a clique of that size in the view's
+    bits, searched on view (or a fresh view) the first time only."""
+    if g._alpha_memo is None:
+        alpha, clique = _max_clique((view or _complement_view(g))[0], (1 << g.n) - 1)
+        g._alpha_memo = alpha, tuple(clique)
+    return g._alpha_memo
 
 
-def _star(g: Graph) -> tuple[int, int, list[int], _View | None]:
-    """sigma(g) and the least vertex attaining it, searched once per graph,
-    with the complement view this call's search ran on and the clique it
-    found there in that vertex's neighbourhood (an empty list and None when
-    the memo held sigma)."""
-    if g._star_memo is not None:
-        return (*g._star_memo, [], None)
-    view = _complement_view(g)
-    sigma, v, clique = _star_vertex(view)
-    g._star_memo = sigma, v
-    return sigma, v, clique, view
+def _star(g: Graph, view: _View | None = None) -> tuple[int, int, tuple[int, ...]]:
+    """g's sigma memo: sigma(g), the least vertex attaining it (0 for
+    edgeless graphs) and a clique of sigma vertices within its
+    neighbourhood in the view's bits, searched on view (or a fresh view)
+    the first time only."""
+    if g._star_memo is None:
+        keep, _, pos = view or _complement_view(g)
+        best = best_v = 0
+        clique: list[int] = []
+        for v, i in enumerate(pos):
+            if keep[i].bit_count() <= best:
+                continue
+            size, found = _max_clique(keep, keep[i], best)
+            if size > best:
+                best, best_v, clique = size, v, found
+        g._star_memo = best, best_v, tuple(clique)
+    return g._star_memo
 
 
 def independence_number(g: Graph) -> tuple[int, list[int]]:
     """Exact alpha(g) with its lexicographically least witness set."""
-    alpha, known, view = _alpha(g)
-    view = view or _complement_view(g)
+    view = _complement_view(g)
+    alpha, known = _alpha(g, view)
     return alpha, _lex_least_clique(view, (1 << g.n) - 1, alpha, known)
 
 
@@ -650,25 +660,9 @@ def star_number(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
     """
     if g.n == 0:
         return 0, None
-    best, v, known, view = _star(g)
-    view = keep, _, pos = view or _complement_view(g)
+    view = keep, _, pos = _complement_view(g)
+    best, v, known = _star(g, view)
     return best, (v, _lex_least_clique(view, keep[pos[v]], best, known))
-
-
-def _star_vertex(view: _View) -> tuple[int, int, list[int]]:
-    """sigma, the least vertex attaining it (0 for edgeless graphs), and a
-    clique of sigma vertices of the complement within its neighbourhood."""
-    keep, _, pos = view
-    best = 0
-    best_v = 0
-    clique: list[int] = []
-    for v, i in enumerate(pos):
-        if keep[i].bit_count() <= best:
-            continue
-        size, found = _max_clique(keep, keep[i], best)
-        if size > best:
-            best, best_v, clique = size, v, found
-    return best, best_v, clique
 
 
 def directories(g: Graph) -> list[list[int]]:
@@ -681,8 +675,8 @@ def directories(g: Graph) -> list[list[int]]:
     """
     if not any(g.masks):
         raise StarNumberZero("directories are undefined for edgeless graphs")
-    alpha, _, view = _alpha(g)
-    keep, order, _ = view or _complement_view(g)
+    view = keep, order, _ = _complement_view(g)
+    alpha = _alpha(g, view)[0]
     return sorted(sorted(order[i] for i in c) for c in _cliques(keep, (1 << g.n) - 1, alpha))
 
 
@@ -741,12 +735,7 @@ def _require_base(g: Graph, i: Iterable[int]) -> int:
 
 def address(g: Graph, i: Iterable[int], x: int) -> list[int]:
     """N(x) intersected with i, or {x} itself when x belongs to i."""
-    imask = _require_base(g, i)
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range for order {g.n}")
-    if imask >> x & 1:
-        return [x]
-    return _list_of(g.masks[x] & imask)
+    return address_union(g, i, [x])
 
 
 def address_union(g: Graph, i: Iterable[int], xs: Iterable[int]) -> list[int]:

@@ -219,10 +219,6 @@ def search_morphism(
     """
     c = constraints or MorphismConstraints()
     n, m = a.n, b.n
-    if n == 0:
-        return [] if (not c.surjective or m == 0) else None
-    if m == 0:
-        return None
     # Respecting non-edges forces injectivity: a graph has no loops, so an
     # edge cannot go to one vertex, and a kept non-edge goes to two
     # distinct non-adjacent ones.

@@ -871,13 +871,44 @@ class TestProfile:
 
     def test_star_number_searches_once(self, monkeypatch):
         g = random_graph(random.Random(6), 30, 0.2)
+        full = (1 << g.n) - 1
         first = star_number(g)
-        calls = _count_calls(monkeypatch, "_star_vertex")
+        # sigma searches each neighbourhood, a set that is never full.
+        calls = _count_calls(monkeypatch, "_max_clique", lambda keep, cand, *r: cand != full)
         assert star_number(g) == first
         assert graph_module._star(g)[0] == first[0]
         alpha, witness = independence_number(g)
         assert is_directory(g, witness, relaxed=True) == (alpha >= 2 * first[0] - 1)
         assert calls == []
+
+    def test_warm_calls_probe_no_more_than_cold(self, monkeypatch):
+        # The memo keeps each search's clique, and every call seeds its
+        # witness walk with it.  When a memo hit dropped the clique, a warm
+        # star_number on the first graph made one _cliques call against
+        # none cold, and a warm independence_number on empty_graph(300) one
+        # deep probe against none.
+        searches = _count_calls(monkeypatch, "_max_clique")
+        probes = _count_calls(monkeypatch, "_cliques")
+        pairs = [
+            (independence_number, independence_number),
+            (star_number, star_number),
+            (directories, independence_number),
+        ]
+        for g in (random_graph(random.Random(1), 60, 0.1), empty_graph(300)):
+            for first, call in pairs:
+                if first is directories and not g.edge_count():
+                    continue
+                cold = Graph.from_masks(g.masks)
+                probes.clear()
+                want = call(cold)
+                cold_probes = len(probes)
+                warm = Graph.from_masks(g.masks)
+                first(warm)
+                searches.clear()
+                probes.clear()
+                assert call(warm) == want
+                assert searches == []
+                assert len(probes) <= cold_probes
 
     def test_witness_probes_reuse_their_completions(self, monkeypatch):
         # Each probe that succeeds yields a completion, whose least label

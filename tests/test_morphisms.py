@@ -214,6 +214,30 @@ class TestSearchMorphism:
         seed = PartialMap([(0, 0), (1, 0)])  # edge collapsed to a vertex
         assert search_morphism(path_graph(2), complete_graph(2), seed) is None
 
+    def test_order_zero_against_enumeration(self):
+        # An empty source or target is walked like any other graph, under
+        # every combination of constraints.
+        small = [
+            empty_graph(0),
+            empty_graph(1),
+            empty_graph(2),
+            complete_graph(2),
+            path_graph(3),
+            complete_graph(3),
+        ]
+        for a, b in product(small, repeat=2):
+            for flags in product((False, True), repeat=3):
+                c = MorphismConstraints(*flags)
+                assert search_morphism(a, b, None, c) == _brute_least_map(a, b, (), c)
+
+    def test_seed_out_of_range_raises_on_order_zero(self):
+        # An empty source or target once returned [] or None before the
+        # seed was checked.
+        with pytest.raises(ValueError):
+            search_morphism(empty_graph(0), complete_graph(2), PartialMap([(0, 1)]))
+        with pytest.raises(ValueError):
+            search_morphism(complete_graph(2), empty_graph(0), PartialMap([(0, 1)]))
+
     def test_invalid_witness_raises_internal_invariant(self, monkeypatch):
         # A typed error, not an assert, so that python -O keeps the check.
         monkeypatch.setattr(morphisms, "validate_total_map", lambda *args: False)

@@ -68,11 +68,11 @@ class TestDirectoryLemmas:
         sigma, _ = star_number(g)
         directory = independence_number(g)[1]
         calls = []
-        star_vertex = graph_module._star_vertex
+        max_clique = graph_module._max_clique
         monkeypatch.setattr(
             graph_module,
-            "_star_vertex",
-            lambda *args: calls.append(args) or star_vertex(*args),
+            "_max_clique",
+            lambda *args: calls.append(args) or max_clique(*args),
         )
         report = verify_directory_lemmas(g, directory)
         assert report.passed
