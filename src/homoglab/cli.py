@@ -36,6 +36,7 @@ from .presentations import (
 )
 from .verify import (
     DEFAULT_SEED,
+    TriangleSearchResult,
     cross_validate_hh,
     find_triangle_dom2,
     verify_alpha_bound_family,
@@ -92,18 +93,34 @@ def _parse_vertex_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad vertex list {text!r}") from exc
 
 
-# Every verify option with its default, and the options each suite reads
-# (the campaign is directory-lemmas with --random).  Setting an option the
-# chosen suite does not read is refused, not ignored.
+def _fixture(args) -> tuple:
+    """The truncation a fixture suite reads, with its least directory."""
+    g = truncate(parse_spec(args.family), args.truncate)
+    return g, independence_number(g)[1]
+
+
+# Every verify option with its default, and each mode (the campaign is
+# directory-lemmas with --random) with the options it reads and the call
+# that runs it.  Setting an option the chosen mode does not read is
+# refused, not ignored.
 _VERIFY_DEFAULTS = {"family": "rs:3", "truncate": 9, "count": 1000, "seed": DEFAULT_SEED,
                     "max_order": 40, "threshold": 1, "n_min": 3, "n_max": 6, "part_size": 2}
-_VERIFY_READS = {
-    "directory-lemmas": {"family", "truncate"},
-    "directory-lemmas --random": {"count", "seed", "max_order"},
-    "richness": {"family", "truncate", "threshold"},
-    "triangle-dom2": {"family", "truncate"},
-    "alpha-bound": {"n_min", "n_max", "part_size"},
-    "cross-validate": {"n_max"},
+_VERIFY_SUITES = {
+    "directory-lemmas": ({"family", "truncate"}, lambda a: verify_directory_lemmas(*_fixture(a))),
+    "directory-lemmas --random": (
+        {"count", "seed", "max_order"},
+        lambda a: verify_directory_lemmas_random(count=a.count, seed=a.seed, max_order=a.max_order),
+    ),
+    "richness": (
+        {"family", "truncate", "threshold"},
+        lambda a: verify_neighbor_richness(*_fixture(a), a.threshold),
+    ),
+    "triangle-dom2": ({"family", "truncate"}, lambda a: find_triangle_dom2(*_fixture(a))),
+    "alpha-bound": (
+        {"n_min", "n_max", "part_size"},
+        lambda a: verify_alpha_bound_family(range(a.n_min, a.n_max + 1), part_sizes=(a.part_size,)),
+    ),
+    "cross-validate": ({"n_max"}, lambda a: cross_validate_hh(a.n_max)),
 }
 
 
@@ -148,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=512)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=[m for m in _VERIFY_READS if not m.endswith(" --random")])
+    p.add_argument("suite", choices=[m for m in _VERIFY_SUITES if not m.endswith(" --random")])
     # Unset options stay None, so _cmd_verify can tell them from defaults.
     for name, default in _VERIFY_DEFAULTS.items():
         p.add_argument("--" + name.replace("_", "-"), type=type(default))
@@ -262,34 +279,19 @@ def _cmd_classify(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
-    if args.random and args.suite != "directory-lemmas":
-        raise BadParams(f"verify {args.suite} does not read --random")
     mode = f"{args.suite} --random" if args.random else args.suite
+    if mode not in _VERIFY_SUITES:
+        raise BadParams(f"verify {args.suite} does not read --random")
+    reads, call = _VERIFY_SUITES[mode]
     for name, default in _VERIFY_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-        elif name not in _VERIFY_READS[mode]:
+        elif name not in reads:
             raise BadParams(f"verify {mode} does not read --{name.replace('_', '-')}")
-    if args.random:
-        report = verify_directory_lemmas_random(
-            count=args.count, seed=args.seed, max_order=args.max_order
-        )
-    elif args.suite == "alpha-bound":
-        report = verify_alpha_bound_family(
-            range(args.n_min, args.n_max + 1), part_sizes=(args.part_size,)
-        )
-    elif args.suite == "cross-validate":
-        report = cross_validate_hh(args.n_max)
-    else:
-        g = truncate(parse_spec(args.family), args.truncate)
-        _, directory = independence_number(g)
-        if args.suite == "triangle-dom2":
-            _emit(argv, {"triangle_dom2": find_triangle_dom2(g, directory).to_dict()})
-            return 0
-        if args.suite == "richness":
-            report = verify_neighbor_richness(g, directory, args.threshold)
-        else:
-            report = verify_directory_lemmas(g, directory)
+    report = call(args)
+    if isinstance(report, TriangleSearchResult):  # a search: it neither passes nor fails
+        _emit(argv, {"triangle_dom2": report.to_dict()})
+        return 0
     _emit(argv, {"suite_report": report.to_dict()})
     return 0 if report.passed else 1
 

@@ -213,11 +213,9 @@ class Graph:
         """Return the image of the graph under ``old -> perm[old]``."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a permutation of the vertices")
-        bits = [1 << p for p in perm]
-        rows = [0] * self.n
-        for u, row in enumerate(self._adj):
-            rows[perm[u]] = sum(bits[v] for v in _iter_bits(row))
-        return Graph._of(tuple(rows))
+        # Listing the vertices by their new label inverts perm.
+        order = sorted(range(self.n), key=perm.__getitem__)
+        return Graph._of(tuple(_view_rows(self._adj, order, perm)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -281,10 +279,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
     vs = sorted(set(s))
     _mask_of(vs, g.n)
     index = {v: i for i, v in enumerate(vs)}
-    rows = []
-    for v in vs:
-        mask = g.masks[v]
-        rows.append(sum(1 << i for i, u in enumerate(vs) if mask >> u & 1))
+    rows = _view_rows(g.masks, vs, [index.get(v, 0) for v in range(g.n)])
     return Graph._of(tuple(rows)), index
 
 
@@ -419,22 +414,28 @@ _View = tuple[list[int], list[int], list[int]]
 
 
 def _view_rows(masks: tuple[int, ...], order: list[int], pos: list[int]) -> list[int]:
-    """The rows of masks in the view's bits: row i is masks[order[i]] with
-    bit pos[u] for each member u.
+    """The rows of masks restricted to the vertices of order, in bits that
+    follow order: row i is masks[order[i]] within order, with bit pos[u]
+    for each member u.  pos is read only at the vertices of order.
 
-    Each row is remapped from the sparser of the row and its complement,
-    and flipped when it took the complement, so this costs at most n/2 bit
-    moves per vertex.
+    Each row is remapped from the sparser of the row and its complement
+    within order, and flipped when it took the complement, so this costs
+    at most len(order)/2 bit moves per vertex.  It is the one row remap:
+    _complement_view passes the degree order of all vertices, Graph.relabel
+    the inverse of its permutation, and induced_subgraph its sorted vertex
+    set.
     """
-    n = len(masks)
+    n, m = len(masks), len(order)
     bit = [1 << i for i in pos]
-    full = (1 << n) - 1
+    # order holds distinct vertices, so at full length it is all of them.
+    within = (1 << n) - 1 if m == n else sum(1 << v for v in order)
+    full = (1 << m) - 1
     rows = []
     for i, v in enumerate(order):
-        row = masks[v]
-        sparse = 2 * row.bit_count() <= n
+        row = masks[v] & within
+        sparse = 2 * row.bit_count() <= m
         if not sparse:
-            row ^= full ^ (1 << v)
+            row ^= within ^ (1 << v)
         moved = 0
         while row:
             low = row & -row

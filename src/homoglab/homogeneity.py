@@ -10,11 +10,13 @@ Two independent routes decide HH-homogeneity of a finite graph:
 * decide_hh_conditions tests the combinatorial characterization: no age
   class may have both a coned and a cone-free embedding, and the coned part
   of the age must be upward closed under the surjective-homomorphism order.
-  A coned set lies in the neighbourhood of its cone vertex, so no class
-  larger than the maximum degree is coned, and no such class can take
-  part in a failure of either condition.  The decider reads the age one
-  subset size at a time up to the maximum degree, and stops after the
+  The decider reads the age one subset size at a time, and stops after the
   first size with a class of both kinds.
+
+A coned set lies in the neighbourhood of its cone vertex, so no set larger
+than the maximum degree is coned.  Both routes stop there: such a domain
+has no cone to keep, and such an age class takes part in a failure of
+neither condition.
 
 Agreement of the two on every small graph is part of the acceptance suite.
 
@@ -161,15 +163,21 @@ class HomogReport:
 _ORDER_LIMIT = 10
 
 
-def _cone_table(g: Graph) -> dict[int, int]:
-    """The common neighbours of every vertex set, keyed by the set's mask;
-    the empty set's are all vertices.  Vertex v extends each set already
-    listed, so no set is built twice."""
-    cones = {0: (1 << g.n) - 1}
-    for v, row in enumerate(g.masks):
-        bit = 1 << v
-        cones.update([(s | bit, c & row) for s, c in cones.items()])
+def _cone_table(g: Graph) -> list[int]:
+    """The common neighbours of every vertex set, indexed by the set's
+    mask; the empty set's are all vertices.  Vertex v extends each of the
+    2^v sets already listed, all below bit v, so set s | 1 << v lands at
+    index s + 2^v and no set is built twice."""
+    cones = [(1 << g.n) - 1]
+    for row in g.masks:
+        cones += [c & row for c in cones]
     return cones
+
+
+def _max_degree(g: Graph) -> int:
+    """The maximum degree: a coned set lies in the neighbourhood of its
+    cone vertex, so no set with more vertices is coned."""
+    return max(map(int.bit_count, g.masks), default=0)
 
 
 def age(g: Graph, k: int) -> list[AgeClass]:
@@ -276,10 +284,10 @@ _FINITE_COLLAPSE_NOTE = (
 )
 
 
-def _domains(n: int):
-    """Every vertex subset of range(n) as a sorted tuple, by size and then
-    lexicographically."""
-    for size in range(n + 1):
+def _domains(n: int, sizes: range):
+    """Every vertex subset of range(n) with a size in sizes, as a sorted
+    tuple, by size and then lexicographically."""
+    for size in sizes:
         yield from combinations(range(n), size)
 
 
@@ -294,18 +302,19 @@ def _counterexample(domain, images, vertex, reason) -> dict:
 def _hh_failure(g: Graph) -> dict | None:
     """First homomorphism from a coned domain whose image has no cone.
 
-    A subset of a coned set is coned, so every set smaller than the
-    smallest coneless one is coned.  An image has at most as many vertices
-    as its domain, so a smaller domain cannot fail and is skipped; the
-    least failing map is unchanged.  The full vertex set is coneless, so on
-    K_n no map is walked.
+    Domains are walked by size, sizes smallest..Delta: smallest is the
+    size of the smallest coneless set and Delta the maximum degree.  A
+    subset of a coned set is coned, so every set smaller than smallest is
+    coned, and an image has at most as many vertices as its domain, so a
+    smaller domain cannot fail.  No set larger than Delta is coned
+    (_max_degree), so no larger domain can fail either.  The least failing
+    map is unchanged.  On K_n only the full vertex set is coneless, and
+    smallest = n > Delta, so no map is walked.
     """
     cones = _cone_table(g)
-    smallest = min(mask.bit_count() for mask, cone in cones.items() if not cone)
+    smallest = min(mask.bit_count() for mask, cone in enumerate(cones) if not cone)
     adj = g.masks
-    for domain in _domains(g.n):
-        if len(domain) < smallest:
-            continue
+    for domain in _domains(g.n, range(smallest, _max_degree(g) + 1)):
         dcones = cones[sum(1 << v for v in domain)]
         if not dcones:
             continue
@@ -319,7 +328,7 @@ def _hh_failure(g: Graph) -> dict | None:
 def _h_search_failure(g: Graph, x: str) -> dict | None:
     """First local x-morphism, x in {M, I}, that no endomorphism extends."""
     adj = g.masks
-    for domain in _domains(g.n):
+    for domain in _domains(g.n, range(g.n + 1)):
         for images, _ in _local_maps(adj, adj, x, domain, (), 0):
             if search_morphism(g, g, PartialMap(tuple(zip(domain, images)))) is None:
                 return _counterexample(domain, images, None, "no extension")
@@ -357,7 +366,7 @@ def _i_to_automorphism_failure(g: Graph) -> dict | None:
     isomorphism."""
     adj = g.masks
     full = (1 << g.n) - 1
-    for domain in _domains(g.n):
+    for domain in _domains(g.n, range(g.n + 1)):
         outside = full & ~sum(1 << v for v in domain)
         for images, image_mask in _local_maps(adj, adj, "I", domain, (), 0):
             for a in _iter_bits(outside):
@@ -485,19 +494,18 @@ def decide_hh_conditions(g: Graph) -> HomogReport:
     Condition 2: the coned classes are upward closed under the surjective
     homomorphism order, tested as: no coned class maps onto a cone-free one.
 
-    A coned set lies in the neighbourhood of its cone vertex, so no class
-    larger than the maximum degree is coned; such a class is in neither a
-    condition-1 conflict nor, being larger than every coned class, the
-    image of a surjection from one.  So the age is read up to the maximum
-    degree, one subset size at a time, and the scan stops after the first
-    size with a condition-1 conflict.  Codes sort by order first and a
-    class of size s is settled once size s is read, so the first failure
-    is the one the whole age would report.
+    No class larger than the maximum degree is coned (_max_degree); such a
+    class is in neither a condition-1 conflict nor, being larger than
+    every coned class, the image of a surjection from one.  So the age is
+    read up to the maximum degree, one subset size at a time, and the scan
+    stops after the first size with a condition-1 conflict.  Codes sort by
+    order first and a class of size s is settled once size s is read, so
+    the first failure is the one the whole age would report.
     """
     if g.n > _ORDER_LIMIT:
         raise OrderTooLarge(f"age computation capped at size {_ORDER_LIMIT}, got {g.n}")
     table: dict[bytes, list] = {}
-    for level in _age_levels(g, max(map(int.bit_count, g.masks), default=0)):
+    for level in _age_levels(g, _max_degree(g)):
         table.update(level)
         if any(entry[2] is not None and entry[3] is not None for entry in level.values()):
             break

@@ -297,6 +297,18 @@ def canonical_code(g: Graph) -> bytes:
     return _code(g.masks)
 
 
+def _twins(adj: tuple[int, ...]) -> list[int]:
+    """Each vertex's twins as a mask: u and w are twins when their
+    neighbourhoods agree outside {u, w}, so swapping them is an
+    automorphism that fixes every other vertex."""
+    twins = [0] * len(adj)
+    for u, w in combinations(range(len(adj)), 2):
+        if not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w):
+            twins[u] |= 1 << w
+            twins[w] |= 1 << u
+    return twins
+
+
 @lru_cache(maxsize=1 << 15)
 def _code(adj: tuple[int, ...]) -> bytes:
     """canonical_code of the graph with neighbourhood masks adj, memoised.
@@ -334,12 +346,7 @@ def _code(adj: tuple[int, ...]) -> bytes:
     n = len(adj)
     if n < 2:
         return bytes([n]) + bytes(2 * n)
-    twins = [0] * n
-    for u in range(n):
-        for w in range(u + 1, n):
-            if not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w):
-                twins[u] |= 1 << w
-                twins[w] |= 1 << u
+    twins = _twins(adj)
     best: list[int] = []
     prefix: list[int] = []
 
@@ -414,13 +421,11 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         new = 1 << (order - 1)
         seen: dict[bytes, tuple[int, ...]] = {}
         for masks in reps:
-            twins = [
-                (1 << u, 1 << w)
-                for u, w in combinations(range(order - 1), 2)
-                if not (masks[u] ^ masks[w]) & ~(1 << u | 1 << w)
-            ]
+            twins = _twins(masks)
+            # Each vertex u with twins above it, and their mask.
+            higher = [(1 << u, t >> u + 1 << u + 1) for u, t in enumerate(twins) if t >> u + 1]
             for row in range(new):
-                if any(row & w and not row & u for u, w in twins):
+                if any(row & w and not row & u for u, w in higher):
                     continue
                 # The new vertex joins the vertices of row.
                 ext = tuple(m | new if row >> v & 1 else m for v, m in enumerate(masks))

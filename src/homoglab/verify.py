@@ -412,19 +412,19 @@ def verify_alpha_bound_family(
     least 2.
     """
     start = time.perf_counter()
-    n_values = list(n_values)
+    n_values, part_sizes = list(n_values), tuple(part_sizes)
     if not n_values or not part_sizes:
         raise ValueError("n_values and part_sizes must both be nonempty")
     if any(n < 3 or n > 8 for n in n_values):
         raise ValueError("rs truncations are checked for n in 3..8")
+    if any(m < 2 for m in part_sizes):
+        raise ValueError("clique parts need at least 2 vertices")
     failures = []
     checked = 0
     rows = []
     for n in n_values:
         per_m = []
         for m in part_sizes:
-            if m < 2:
-                raise ValueError("clique parts need at least 2 vertices")
             g = rs_truncation(n, m)
             alpha = _alpha(g)[0]
             sigma = _star(g)[0]

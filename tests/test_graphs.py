@@ -24,6 +24,7 @@ from homoglab.graphs import (
     cycle_graph,
     directories,
     disjoint_union,
+    dominates,
     domination_number,
     empty_graph,
     exact_neighborhood,
@@ -276,6 +277,17 @@ class TestNeighborhoods:
     def test_bad_polarity(self):
         with pytest.raises(ValueError):
             cone_set(complete_graph(2), [0], "sideways")
+
+    def test_dominates_matches_its_definition(self):
+        # Every member of x has a neighbour in d; a member of d counts only
+        # through its neighbours, and an empty x is dominated by anything.
+        rng = random.Random(2909)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 9), rng.random())
+            d = [v for v in range(g.n) if rng.random() < 0.3]
+            x = [v for v in range(g.n) if rng.random() < 0.5]
+            expected = all(any(g.has_edge(v, u) for u in d) for v in x)
+            assert dominates(g, d, x) == expected, (g.masks, d, x)
 
 
 class TestIndependenceNumber:

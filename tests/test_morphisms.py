@@ -271,6 +271,39 @@ class TestSearchMorphism:
                     assert got == expected, (a.masks, b.masks, pairs, c)
 
 
+class TestValidateTotalMap:
+    # One hand-built bad map per fault the check names.  Each is paired with
+    # constraints under which a good map passes, so a False comes from the
+    # fault alone.  P3 is 0-1-2, with the one non-edge 02.
+    def test_each_fault_is_rejected(self):
+        p3, p4, k3 = path_graph(3), path_graph(4), complete_graph(3)
+        none = MorphismConstraints()
+        injective = MorphismConstraints(injective=True)
+        surjective = MorphismConstraints(surjective=True)
+        nonedges = MorphismConstraints(respect_nonedges=True)
+        faults = [
+            (p3, p4, [0, 1], none),  # wrong length
+            (p3, p4, [0, 1, 4], none),  # a target above the range
+            (p3, p4, [-1, 0, 1], none),  # a negative target
+            (p3, p4, [0, 1, 3], none),  # edge 12 lost
+            (p3, p4, [0, 1, 0], injective),  # target 0 repeated
+            (p3, p4, [0, 1, 2], surjective),  # vertex 3 missed
+            (p3, k3, [0, 1, 2], nonedges),  # non-edge 02 sent to an edge
+            (p3, p4, [0, 1, 0], nonedges),  # non-edge 02 sent to one vertex
+        ]
+        for a, b, f, c in faults:
+            assert not validate_total_map(a, b, f, c), (f, c)
+        for a, b, f, c in [
+            (p3, p4, [0, 1, 2], none),
+            (p3, p4, [0, 1, 0], none),
+            (p3, p4, [0, 1, 2], injective),
+            (p3, p3, [0, 1, 2], surjective),
+            (p3, k3, [0, 1, 2], injective),
+            (p3, p4, [0, 1, 2], nonedges),
+        ]:
+            assert validate_total_map(a, b, f, c), (f, c)
+
+
 class TestLocalMapWalker:
     def test_matches_brute_force_with_prefixes_and_cover(self):
         # On every class of order <= 5 and a relabelling of it: a shuffled

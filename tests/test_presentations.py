@@ -2,6 +2,7 @@
 construction, and the bimorphism-class probe."""
 
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -20,6 +21,7 @@ from homoglab.graphs import (
 )
 from homoglab.morphisms import canonical_code
 from homoglab.presentations import (
+    FAMILIES,
     Presentation,
     WitnessResult,
     check_property_bounded,
@@ -267,6 +269,37 @@ class TestExtensionWitness:
                     expected = "co-cone refuted: the group is exhausted"
             assert p.refute(a, b) == expected, (a, b)
 
+    def test_every_certificate_holds_on_a_truncation(self):
+        # A certificate makes extension_witness answer proven_absent, a
+        # proof claim: so no vertex of the first 1024 may be adjacent to all
+        # of a and none of b.  Every disjoint (a, b) over 0..8 with at most
+        # 4 members, for each built-in family and its complement.
+        specs = [f for f in FAMILIES if f not in ("rs", "complement_of", "lex")]
+        specs += ["rs:3", "rs:4"]
+        specs += [f"complement_of:{spec}" for spec in specs]
+        certified = 0
+        for spec in specs:
+            p = parse_spec(spec)
+            masks = truncate(p, 1024).masks
+            everyone = (1 << 1024) - 1
+            for size in range(5):
+                for support in combinations(range(9), size):
+                    for sides in product((0, 1), repeat=size):
+                        a = [v for v, side in zip(support, sides) if side]
+                        b = [v for v, side in zip(support, sides) if not side]
+                        if p.refute(a, b) is None:
+                            continue
+                        certified += 1
+                        witnesses = everyone
+                        for v in a:
+                            witnesses &= masks[v]
+                        for v in support:
+                            witnesses &= ~(1 << v)
+                        for v in b:
+                            witnesses &= ~masks[v]
+                        assert not witnesses, (spec, a, b, p.refute(a, b))
+        assert certified > 10_000
+
     def test_union_cliques_refuter_builds_no_group_set(self):
         # The group of 10**14 has about 1.4 * 10**7 members; building them
         # as a set ran out of memory under a 600 MB address-space limit.
@@ -335,6 +368,45 @@ class TestSpanningConstruction:
         with pytest.raises(BudgetExhausted) as exc:
             spanning_rado(p, 80, 1 << 14)
         assert set(exc.value.requirement.cone_over) >= {0, 1, 2}
+
+    def test_verify_reports_each_tampered_invariant(self):
+        # One tampered copy per problem verify lists; each must be reported.
+        p = make_presentation("rado_bit")
+        c = spanning_rado(p, 12, 1 << 16)
+        assert c.verify(p) == []
+        top = max(c.placed) + 2
+        out = min(set(range(top)) - set(c.placed))
+        u = next(v for v in c.placed if p.adjacent(v, out))
+        s, t = next(e for e in combinations(c.placed, 2) if not p.adjacent(*e))
+        entries = list(c.schedule)
+        free = next(i for i, e in enumerate(entries) if not e.requirement.cone_over)
+        entries[free] = replace(entries[free], witness=out)
+        coned = next(e for e in c.schedule if e.requirement.cone_over)
+        w, x = coned.witness, coned.requirement.cone_over[0]
+        cocone = next(e for e in c.schedule if e.requirement.cocone_over)
+        w2, y = cocone.witness, cocone.requirement.cocone_over[0]
+        edges = c.selected_edges
+        cases = [
+            (replace(c, placed=c.placed + c.placed[:1]), "placed vertices are not distinct"),
+            (replace(c, target=top), f"vertices below {top} are not all placed"),
+            (
+                replace(c, selected_edges=edges + ((u, out),)),
+                f"selected edge ({u},{out}) touches an unplaced vertex",
+            ),
+            (replace(c, selected_edges=edges + ((s, t),)), f"selected edge ({s},{t}) is not a host edge"),
+            (replace(c, schedule=tuple(entries)), f"witness {out} was never placed"),
+            (
+                replace(c, selected_edges=tuple(e for e in edges if set(e) != {w, x})),
+                f"witness {w} is not selected-adjacent to {x} in",
+            ),
+            (
+                replace(c, selected_edges=edges + ((w2, y),)),
+                f"witness {w2} is selected-adjacent to {y} in",
+            ),
+        ]
+        for tampered, problem in cases:
+            found = tampered.verify(p)
+            assert any(got.startswith(problem) for got in found), (problem, found)
 
     def test_selected_edges_subset_of_host(self):
         p = make_presentation("rado_bit")

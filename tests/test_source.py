@@ -108,6 +108,51 @@ def test_unbounded_memo_guard_catches_each_form():
         assert not _is_unbounded_memo(first_decorator(source)), source
 
 
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither uses nor lists in __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # A simplification that deletes the last use of a name must delete its
+    # import too.  __init__ re-exports by star imports, which name nothing.
+    found = {
+        path.name: unused
+        for path in sorted(SOURCE.rglob("*.py"))
+        if (unused := _unused_imports(path.read_text()))
+    }
+    assert not found, f"unused imports in the package: {found}"
+
+
+def test_unused_import_guard_catches_each_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "import xml.dom\n"
+        "from json import dumps, loads as read\n"
+        "from .graphs import *\n"
+        "__all__ = ['dumps']\n"
+        "print(system)\n"
+    )
+    assert _unused_imports(source) == ["os (line 2)", "read (line 4)", "xml (line 3)"]
+
+
 def test_one_local_morphism_rule():
     # morphisms._targets is the only statement of which targets keep a map
     # a local H-, M- or I-morphism; the search, the is_local_* checks and

@@ -399,6 +399,21 @@ class TestAlphaBound:
         with pytest.raises(ValueError):
             verify_alpha_bound_family([3], part_sizes=(1,))
 
+    def test_every_part_size_is_checked_before_any_truncation(self, monkeypatch):
+        # Part size 1 once raised only after the part size 2 instance was
+        # built and analysed.
+        def refuse(*args):
+            raise AssertionError("truncated before the input was checked")
+
+        monkeypatch.setattr(verify, "rs_truncation", refuse)
+        with pytest.raises(ValueError, match="clique parts"):
+            verify_alpha_bound_family([3], part_sizes=(2, 1))
+
+    def test_part_sizes_may_be_a_one_shot_iterable(self):
+        # Checked in full before the loop, so every n still gets every size.
+        report = verify_alpha_bound_family([3, 4], part_sizes=iter((2, 3)))
+        assert report.instances == 4 and report.passed
+
 
 class TestCrossValidation:
     def test_small_orders_agree(self):
