@@ -20,8 +20,6 @@ __all__ = [
     "FORMATS",
 ]
 
-FORMATS = ("graph6", "edges")
-
 _G6_HEADER = ">>graph6<<"
 
 # The six bits, high bit first, of each graph6 body character.
@@ -126,22 +124,28 @@ def graph_from_edgelist(text: str) -> Graph:
         raise FormatError(str(exc)) from exc
 
 
+# Format name -> (reader, writer) of a file's whole text.
+_CODECS = {
+    "graph6": (graph_from_graph6, lambda g: graph_to_graph6(g) + "\n"),
+    "edges": (graph_from_edgelist, graph_to_edgelist),
+}
+FORMATS = tuple(_CODECS)
+
+
+def _codec(fmt: str):
+    # Tuple membership compares by ==, so an unhashable fmt is refused too.
+    if fmt not in FORMATS:
+        raise FormatError(f"unknown format {fmt!r}")
+    return _CODECS[fmt]
+
+
 def read_graph(path: str, fmt: str = "graph6") -> Graph:
+    reader = _codec(fmt)[0]
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if fmt == "graph6":
-        return graph_from_graph6(text)
-    if fmt == "edges":
-        return graph_from_edgelist(text)
-    raise FormatError(f"unknown format {fmt!r}")
+        return reader(fh.read())
 
 
 def write_graph(g: Graph, path: str, fmt: str = "graph6") -> None:
-    if fmt == "graph6":
-        text = graph_to_graph6(g) + "\n"
-    elif fmt == "edges":
-        text = graph_to_edgelist(g)
-    else:
-        raise FormatError(f"unknown format {fmt!r}")
+    text = _codec(fmt)[1](g)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)

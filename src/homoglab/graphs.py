@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInvariant, NotADirectoryBase, StarNumberZero
 
@@ -290,10 +290,18 @@ def _common_mask(masks: tuple[int, ...], smask: int, n: int) -> int:
     return result
 
 
+def _union_mask(masks: Sequence[int], smask: int) -> int:
+    """The union of the rows of masks over the bits of smask: N(S) for a
+    graph's rows, 0 for an empty smask.  _common_mask is its meet."""
+    result = 0
+    for v in _iter_bits(smask):
+        result |= masks[v]
+    return result
+
+
 def common_neighborhood(g: Graph, s: Iterable[int]) -> list[int]:
     """Vertices adjacent to every member of s; all vertices when s is empty."""
-    smask = _mask_of(s, g.n)
-    return _list_of(_common_mask(g.masks, smask, g.n))
+    return cone_set(g, s)
 
 
 def cone_set(g: Graph, x: Iterable[int], polarity: str = "cone") -> list[int]:
@@ -302,10 +310,7 @@ def cone_set(g: Graph, x: Iterable[int], polarity: str = "cone") -> list[int]:
     if polarity == "cone":
         return _list_of(_common_mask(g.masks, xmask, g.n))
     if polarity == "cocone":
-        result = (1 << g.n) - 1
-        for v in _iter_bits(xmask):
-            result &= ~g.masks[v]
-        return _list_of(result & ~xmask)
+        return _list_of((1 << g.n) - 1 & ~(_union_mask(g.masks, xmask) | xmask))
     raise ValueError(f"polarity must be 'cone' or 'cocone', got {polarity!r}")
 
 
@@ -316,9 +321,7 @@ def _components(g: Graph) -> Iterator[int]:
     while rest:
         comp = frontier = rest & -rest
         while frontier:
-            grow = 0
-            for v in _iter_bits(frontier):
-                grow |= masks[v]
+            grow = _union_mask(masks, frontier)
             frontier = grow & ~comp
             comp |= grow
         yield comp
@@ -683,24 +686,17 @@ def directories(g: Graph) -> list[list[int]]:
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
     smask = _mask_of(s, g.n)
-    return all(not g.masks[v] & smask for v in _iter_bits(smask))
+    return _union_mask(g.masks, smask) & smask == 0
 
 
 def dominates(g: Graph, d: Iterable[int], x: Iterable[int]) -> bool:
     """True when every member of x has a neighbour in d."""
-    dmask = _mask_of(d, g.n)
-    covered = 0
-    for v in _iter_bits(dmask):
-        covered |= g.masks[v]
+    covered = _union_mask(g.masks, _mask_of(d, g.n))
     return _mask_of(x, g.n) & ~covered == 0
 
 
 def is_independent_dominating(g: Graph, s: Iterable[int]) -> bool:
-    try:
-        _require_base(g, s)
-    except NotADirectoryBase:
-        return False
-    return True
+    return _base_fault(g, _mask_of(s, g.n)) is None
 
 
 def is_directory(g: Graph, i: Iterable[int], relaxed: bool = False) -> bool:
@@ -712,25 +708,30 @@ def is_directory(g: Graph, i: Iterable[int], relaxed: bool = False) -> bool:
     |i| >= 2*sigma(g) - 1.  Edgeless graphs have no directories.
     """
     iset = sorted(set(i))
-    if not any(g.masks):
-        return False
-    if not is_independent_dominating(g, iset):
+    if not any(g.masks) or _base_fault(g, _mask_of(iset, g.n)) is not None:
         return False
     if relaxed:
         return len(iset) >= 2 * _star(g)[0] - 1
     return len(iset) == _alpha(g)[0]
 
 
+def _base_fault(g: Graph, imask: int) -> str | None:
+    """Why imask is no index set: not independent, else the least vertex it
+    does not dominate; None when it is independent and dominating."""
+    covered = _union_mask(g.masks, imask)
+    if covered & imask:
+        return "index set is not independent"
+    missing = (1 << g.n) - 1 & ~(covered | imask)
+    if missing:
+        return f"index set does not dominate vertex {(missing & -missing).bit_length() - 1}"
+    return None
+
+
 def _require_base(g: Graph, i: Iterable[int]) -> int:
     imask = _mask_of(i, g.n)
-    if any(g.masks[v] & imask for v in _iter_bits(imask)):
-        raise NotADirectoryBase("index set is not independent")
-    covered = imask
-    for v in _iter_bits(imask):
-        covered |= g.masks[v]
-    if covered != (1 << g.n) - 1:
-        missing = next(_iter_bits(((1 << g.n) - 1) & ~covered))
-        raise NotADirectoryBase(f"index set does not dominate vertex {missing}")
+    fault = _base_fault(g, imask)
+    if fault is not None:
+        raise NotADirectoryBase(fault)
     return imask
 
 
@@ -742,13 +743,9 @@ def address(g: Graph, i: Iterable[int], x: int) -> list[int]:
 def address_union(g: Graph, i: Iterable[int], xs: Iterable[int]) -> list[int]:
     """Union of the addresses of the members of xs."""
     imask = _require_base(g, i)
-    result = 0
-    for x in _iter_bits(_mask_of(xs, g.n)):
-        if imask >> x & 1:
-            result |= 1 << x
-        else:
-            result |= g.masks[x] & imask
-    return _list_of(result)
+    xmask = _mask_of(xs, g.n)
+    # Members of i give themselves, the rest their neighbours in i.
+    return _list_of(xmask & imask | _union_mask(g.masks, xmask & ~imask) & imask)
 
 
 def exact_neighborhood(g: Graph, i: Iterable[int], s: Iterable[int]) -> list[int]:
@@ -773,21 +770,14 @@ def domination_number(g: Graph, i: Iterable[int], s: Iterable[int]) -> int:
     imask = _require_base(g, i)
     smask = _mask_of(s, g.n)
     inside = smask & imask
-    blocked = inside
-    for x in _iter_bits(inside):
-        blocked |= g.masks[x]
-    outside = _list_of(smask & ~blocked)
+    outside = smask & ~(inside | _union_mask(g.masks, inside))
     # Only address members can dominate anything in s.
-    pool = 0
-    for x in outside:
-        pool |= g.masks[x] & imask
-    candidates = _list_of(pool)
+    candidates = _list_of(_union_mask(g.masks, outside) & imask)
+    rows = [g.masks[x] for x in _iter_bits(outside)]
     for k in range(len(candidates) + 1):
         for combo in combinations(candidates, k):
-            cmask = 0
-            for c in combo:
-                cmask |= 1 << c
-            if all(g.masks[x] & cmask for x in outside):
+            cmask = sum(1 << c for c in combo)
+            if all(row & cmask for row in rows):
                 return inside.bit_count() + k
     raise InternalInvariant("undominated set escaped the entry check")
 

@@ -34,7 +34,8 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .errors import BadParams, BudgetExhausted
-from .graphs import Graph, _clique_components, _iter_bits, _tile, complement as graph_complement
+from .graphs import Graph, _clique_components, _iter_bits, _tile, _union_mask
+from .graphs import complement as graph_complement
 
 __all__ = [
     "Presentation",
@@ -166,11 +167,8 @@ def _diag_pair(k: int) -> tuple[int, int]:
 
 def _rado_bit() -> Presentation:
     def adj(i: int, j: int) -> bool:
-        return bool(j >> i & 1)
-
-    def linked(u: int, x: int) -> bool:
-        # adj for either order of the two vertices.
-        return bool((u >> x if x < u else x >> u) & 1)
+        # The larger vertex has the smaller one's bit set.
+        return bool((i >> j if j < i else j >> i) & 1)
 
     def rows(n: int) -> list[int]:
         # Below v, the neighbours of v are the set bits of v itself.  Above
@@ -187,7 +185,7 @@ def _rado_bit() -> Presentation:
         marked = sorted(a + b)
         # Below the bit length of every marked vertex, ask the oracle.
         small = marked[-1].bit_length() if marked else 0
-        v = _least_scan(linked, a, b, min(small - 1, budget), marked)
+        v = _least_scan(adj, a, b, min(small - 1, budget), marked)
         if v is not None:
             return v
         # From there on no marked x above v has bit v set, so v is adjacent
@@ -421,9 +419,7 @@ def _lex(p: Presentation, q: Presentation) -> Presentation:
         inner = q._rows(max(map(len, members), default=0))
         out = [0] * n
         for o, ks in enumerate(members):
-            across = 0
-            for o2 in _iter_bits(outer[o]):
-                across |= classes[o2]
+            across = _union_mask(classes, outer[o])
             below = (1 << len(ks)) - 1
             for i, k in enumerate(ks):
                 row = across

@@ -24,6 +24,7 @@ from .graphs import (
     _list_of,
     _require_base,
     _star,
+    _union_mask,
     domination_number,
     independence_number,
     induced_subgraph,
@@ -214,9 +215,7 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
     stray = [0] * g.n
     for x in sigma_addressed:
         checked += masks[x].bit_count()
-        meets = 0
-        for a in _iter_bits(addr_mask[x]):
-            meets |= masks[a] | 1 << a
+        meets = _union_mask(masks, addr_mask[x]) | addr_mask[x]
         stray[x] = masks[x] & ~meets
         for z in _iter_bits(stray[x]):
             failures.append(
@@ -236,11 +235,9 @@ def verify_directory_lemmas(g: Graph, i) -> SuiteReport:
         checked += comb(d, 1) + comb(d, 2) + comb(d, 3) + comb(d, 4)
     if any(stray):
         for xs, cone in _coned_sets(masks, sigma_addressed, 4):
-            strays = union = 0
-            for x in xs:
-                strays |= stray[x]
-                union |= addr_mask[x]
-            for z in _iter_bits(cone & strays):
+            xmask = sum(1 << x for x in xs)
+            union = _union_mask(addr_mask, xmask)
+            for z in _iter_bits(cone & _union_mask(stray, xmask)):
                 failures.append(
                     {
                         "clause": "cone-address-dominates",

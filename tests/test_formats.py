@@ -137,3 +137,17 @@ def test_edgelist_decoder_never_crashes(text):
     except FormatError:
         return
     assert graph_from_edgelist(graph_to_edgelist(g)) == g
+
+
+@pytest.mark.parametrize("fmt", ["g6", "", "GRAPH6"])
+def test_unknown_format_refused_before_the_file_is_opened(tmp_path, fmt):
+    target = tmp_path / "absent.txt"
+    with pytest.raises(FormatError, match=f"unknown format {fmt!r}"):
+        formats.read_graph(str(target), fmt)
+    with pytest.raises(FormatError, match=f"unknown format {fmt!r}"):
+        formats.write_graph(cycle_graph(4), str(target), fmt)
+    assert not target.exists()
+
+
+def test_formats_in_their_listed_order():
+    assert formats.FORMATS == ("graph6", "edges")

@@ -290,6 +290,89 @@ class TestNeighborhoods:
             assert dominates(g, d, x) == expected, (g.masks, d, x)
 
 
+def _random_sets(rng, g, count):
+    """Vertex sets of every density, so dependent, non-dominating and
+    index sets all turn up."""
+    sets = []
+    for _ in range(count):
+        p = rng.random()
+        sets.append([v for v in range(g.n) if rng.random() < p])
+    return sets
+
+
+def _fault_by_definition(g, s):
+    """The NotADirectoryBase message for s, from pairwise adjacency."""
+    if any(g.has_edge(u, v) for u, v in combinations(s, 2)):
+        return "index set is not independent"
+    for v in range(g.n):
+        if v not in s and not any(g.has_edge(v, u) for u in s):
+            return f"index set does not dominate vertex {v}"
+    return None
+
+
+class TestSetNeighbourhoodsByDefinition:
+    # Each set function against its written definition, built from
+    # pairwise has_edge alone, on seeded random graphs of order 1-10.
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(3010)
+        out = []
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            out.append((g, _random_sets(rng, g, 6)))
+        return out
+
+    def test_independence_and_index_sets(self, cases):
+        # dominates has its own definition test in TestNeighborhoods.
+        for g, sets in cases:
+            for s in sets:
+                independent = not any(g.has_edge(u, v) for u, v in combinations(s, 2))
+                assert is_independent(g, s) == independent, (g.masks, s)
+                expected = _fault_by_definition(g, s) is None
+                assert is_independent_dominating(g, s) == expected, (g.masks, s)
+
+    def test_cones_and_cocones(self, cases):
+        for g, sets in cases:
+            for x in sets:
+                cone = [v for v in range(g.n) if all(g.has_edge(v, u) for u in x)]
+                cocone = [
+                    v for v in range(g.n) if v not in x and not any(g.has_edge(v, u) for u in x)
+                ]
+                assert cone_set(g, x) == cone, (g.masks, x)
+                assert common_neighborhood(g, x) == cone, (g.masks, x)
+                assert cone_set(g, x, "cocone") == cocone, (g.masks, x)
+
+    def test_address_union(self, cases):
+        for g, sets in cases:
+            for i in sets:
+                if _fault_by_definition(g, i) is not None:
+                    continue
+                for xs in sets:
+                    union = set()
+                    for x in xs:
+                        union |= {x} if x in i else {u for u in i if g.has_edge(x, u)}
+                    assert address_union(g, i, xs) == sorted(union), (g.masks, i, xs)
+
+    def test_the_base_fault_names_the_first_fault(self, cases):
+        # Not independent wins when both faults hold; otherwise the least
+        # undominated vertex is named.
+        seen = set()
+        for g, sets in cases:
+            for i in sets:
+                fault = _fault_by_definition(g, i)
+                if fault is None:
+                    continue
+                with pytest.raises(NotADirectoryBase) as info:
+                    address_union(g, i, [])
+                assert str(info.value) == fault, (g.masks, i)
+                undominated = any(
+                    not any(g.has_edge(v, u) for u in i) for v in range(g.n) if v not in i
+                )
+                seen.add((fault.endswith("independent"), undominated))
+        assert seen == {(True, True), (True, False), (False, True)}
+
+
 class TestIndependenceNumber:
     def test_cliques(self):
         for n in (1, 2, 5):

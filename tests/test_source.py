@@ -1,6 +1,7 @@
 """Source-level guards over the package modules."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import homoglab
@@ -311,3 +312,38 @@ def test_cli_choices_are_the_module_constants():
                 assert tuple(action.choices) == tuple(expected[option]), option
                 seen[option] += 1
     assert seen == {"--x": 1, "--y": 1, "--format": 3}
+
+
+def _source_lines_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "source_lines.py"
+    spec = importlib.util.spec_from_file_location("source_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LINE_COUNT_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+# a comment line
+import os  # a trailing comment
+
+TEXT = """a string that is
+no docstring"""
+
+
+def f(x):
+    """Function docstring."""
+    # a comment inside
+    total = (x +
+             1)
+
+    return total
+'''
+
+
+def test_source_line_count():
+    # Blank lines, comment lines and docstrings are not code; a statement
+    # counts each line it spans, and a string that is no docstring is code.
+    # Code lines: import (5), TEXT (7-8), def (11), total (14-15), return (17).
+    assert _source_lines_tool().count(LINE_COUNT_SAMPLE) == (17, 7)
