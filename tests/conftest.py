@@ -74,6 +74,28 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
+def lex_least_independent(g: Graph, pool, size: int) -> list[int] | None:
+    """The lexicographically least independent set of the given size
+    within pool, or None when there is none."""
+    for sub in combinations(sorted(pool), size):
+        if all(not g.has_edge(u, v) for u, v in combinations(sub, 2)):
+            return list(sub)
+    return None
+
+
+def brute_sigma(g: Graph) -> tuple[int, tuple[int, list[int]] | None]:
+    """sigma(g) by its definition: brute_alpha on the subgraph induced by
+    each neighbourhood, the least vertex attaining the maximum, and the
+    lexicographically least independent set of that size within its
+    neighbourhood.  The witness is None only for the empty graph."""
+    if g.n == 0:
+        return 0, None
+    sizes = [brute_alpha(induced_subgraph(g, g.neighbors(v))[0]) for v in range(g.n)]
+    sigma = max(sizes)
+    v = sizes.index(sigma)
+    return sigma, (v, lex_least_independent(g, g.neighbors(v), sigma))
+
+
 def brute_max_clique(g: Graph) -> int:
     best = 0
     for size in range(g.n, 0, -1):

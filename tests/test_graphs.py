@@ -48,8 +48,10 @@ from conftest import (
     brute_domination_number,
     brute_independent_dominating_of_size,
     brute_max_clique,
+    brute_sigma,
     census_tail,
     graph_from_bits,
+    lex_least_independent,
     petersen,
     random_maximal_independent,
     reference_lex_product,
@@ -444,6 +446,41 @@ class TestStarNumber:
             expected = max(expected, brute_alpha(sub))
         assert sigma == expected
 
+    def test_matches_the_definition_cold_and_after_alpha(self):
+        # sigma <= alpha, and once alpha is in the graph's memo the scan
+        # stops at the first vertex attaining it; the result, witness
+        # included, must be the definition's whether or not alpha is known.
+        rng = random.Random(4099)
+        gs = [
+            random_graph(rng, rng.randint(1, 14), (0.5, 0.7, 0.85, 0.95)[k % 4])
+            for k in range(160)
+        ]
+        gs += [complete_graph(n) for n in (1, 2, 6)] + [empty_graph(n) for n in (0, 1, 6)]
+        gs += [cycle_graph(5), petersen(), _rook_3x3()]
+        for g in gs:
+            want = brute_sigma(g)
+            assert star_number(Graph.from_masks(g.masks)) == want
+            warm = Graph.from_masks(g.masks)
+            independence_number(warm)
+            assert star_number(warm) == want
+
+    def test_scan_stops_at_the_least_vertex_attaining_alpha(self, monkeypatch):
+        # sigma = alpha = 4 here, first attained at vertex 0, and every
+        # later neighbourhood has more than 4 vertices, so only the stop
+        # rule keeps the scan from searching them all.  A cold scan reads
+        # the alpha memo but never fills it.
+        g = random_graph(random.Random(1), 30, 0.8)
+        cold = Graph.from_masks(g.masks)
+        star_number(cold)
+        assert cold._alpha_memo is None
+        alpha = independence_number(g)[0]
+        keep, _, pos = graph_module._complement_view(g)
+        calls = _count_calls(monkeypatch, "_max_clique")
+        sigma, (v, _) = star_number(g)
+        assert sigma == alpha == 4 and v == 0
+        assert any(g.degree(u) > alpha for u in range(v + 1, g.n))
+        assert [cand for _, cand, *_ in calls] == [keep[pos[v]]]
+
 
 class TestDirectories:
     def test_rs3_unique(self, rs3_m2, rs3_m3):
@@ -549,27 +586,12 @@ class TestDirectories:
             is_independent_dominating(path_graph(3), [3])
 
 
-def _lex_least_independent(g, pool, size):
-    for sub in combinations(sorted(pool), size):
-        if all(not g.has_edge(u, v) for u, v in combinations(sub, 2)):
-            return list(sub)
-    return None
-
-
 def _brute_results(g):
     """alpha, sigma and directories with their witnesses, by enumeration."""
     alpha = brute_alpha(g)
-    alpha_witness = _lex_least_independent(g, range(g.n), alpha)
-    sigma_witness = None
-    sigma = 0
-    for v in range(g.n):
-        sub, _ = induced_subgraph(g, g.neighbors(v))
-        size = brute_alpha(sub)
-        if sigma_witness is None or size > sigma:
-            sigma = size
-            sigma_witness = (v, _lex_least_independent(g, g.neighbors(v), size))
+    alpha_witness = lex_least_independent(g, range(g.n), alpha)
     dirs = [list(s) for s in brute_independent_dominating_of_size(g, alpha)]
-    return (alpha, alpha_witness), (sigma, sigma_witness), dirs
+    return (alpha, alpha_witness), brute_sigma(g), dirs
 
 
 def _rook_3x3():
@@ -704,8 +726,17 @@ class TestCliqueEngine:
         # branch's candidates gives each its own colour, so that set is
         # taken whole.  Stacking a colour order per level instead took this
         # call to 67 MB of peak RSS, and I5000 to about 1.5 GB.
+        # The alpha search starts from the greedy clique, all of K1000, so
+        # its one colouring proves that nothing beats it.  Without that
+        # incumbent the optimiser colours twice: once for the whole set,
+        # then once for the first branch's candidates, a clique.
         calls = _count_calls(monkeypatch, "_color_order")
         assert independence_number(empty_graph(1000)) == (1000, list(range(1000)))
+        assert len(calls) == 1
+        calls.clear()
+        keep = graph_module._complement_view(empty_graph(1000))[0]
+        size, clique = graph_module._max_clique(keep, (1 << 1000) - 1)
+        assert size == 1000 and sorted(clique) == list(range(1000))
         assert len(calls) == 2
         late_centre = Graph(1200, [(v, 1199) for v in range(1199)])
         assert star_number(late_centre) == (1199, (1199, list(range(1199))))
@@ -1082,9 +1113,13 @@ class TestProfile:
         assert len(calls) == 1
 
     def test_every_call_order_matches_the_oracles(self):
+        # Dense graphs often have sigma = alpha, where the sigma scan stops
+        # early only when alpha was searched first.
         rng = random.Random(41)
-        for _ in range(8):
-            g = random_graph(rng, rng.randint(0, 8), rng.choice((0.2, 0.5, 0.8)))
+        gs = [random_graph(rng, rng.randint(0, 8), rng.choice((0.2, 0.5, 0.8))) for _ in range(8)]
+        gs += [random_graph(rng, rng.randint(6, 10), rng.choice((0.85, 0.95))) for _ in range(6)]
+        gs += [complete_graph(6), _rook_3x3()]
+        for g in gs:
             alpha, sigma, dirs = _brute_results(g)
             if not g.edge_count():
                 dirs = None
