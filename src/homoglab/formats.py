@@ -8,7 +8,7 @@ line per edge, 0-based.
 from __future__ import annotations
 
 from .errors import FormatError
-from .graphs import Graph, _iter_bits
+from .graphs import Graph
 
 __all__ = [
     "graph_to_graph6",
@@ -81,8 +81,11 @@ def graph_from_graph6(text: str) -> Graph:
         col = int(bits[end - j : end], 2)
         end -= j
         masks[j] |= col
-        for i in _iter_bits(col):
-            masks[i] |= 1 << j
+        bit = 1 << j
+        while col:
+            low = col & -col
+            masks[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph._of(tuple(masks))
 
 

@@ -294,8 +294,10 @@ def _union_mask(masks: Sequence[int], smask: int) -> int:
     """The union of the rows of masks over the bits of smask: N(S) for a
     graph's rows, 0 for an empty smask.  _common_mask is its meet."""
     result = 0
-    for v in _iter_bits(smask):
-        result |= masks[v]
+    while smask:
+        low = smask & -smask
+        result |= masks[low.bit_length() - 1]
+        smask ^= low
     return result
 
 
@@ -362,14 +364,35 @@ def is_connected(g: Graph) -> bool:
 #   no earlier completion already covers, and directories asks it for
 #   every clique of size alpha.
 #
-# Both walk an explicit stack with one frame per chosen vertex: the colour
-# order still to branch on, from its far end, and the candidates not yet
-# branched on.  So the size of a clique is bounded by memory, not by the
+# Both walk an explicit stack with one frame per branched vertex: the
+# colour order still to branch on, from its far end, and the candidates not
+# yet branched on (and, in _cliques, how many vertices the frame added to
+# the clique).  So the size of a clique is bounded by memory, not by the
 # recursion limit.  When two vertices are still needed, every edge of the
 # complement within the candidates completes a clique, and _cliques lists
 # those edges with no colouring and no frame.  A candidate set whose
 # colouring gives every vertex its own colour is a clique, which
 # _max_clique takes whole.
+#
+# A colouring is tight when it has exactly as many classes as the clique
+# still needs; every such clique then takes one vertex from each class.
+# At a tight node that needs more than three vertices, _cliques runs one
+# unit propagation step, _force: it takes every one-vertex class at once,
+# cuts the node when two of those vertices are adjacent in g or when
+# removing their neighbours in g empties a class, and repeats on the
+# classes left until none has one vertex.  The forced vertices join the
+# clique with no frame of their own, and the node branches on the last
+# class left, whose children recolour their candidates as before.  On the
+# 1,800 G(36, 0.17) graphs of the sparse-directories benchmark, seeds 1-3,
+# paired in one process (2 vCPU, CPython 3.11.7), directories took 0.45 s
+# per pass against 0.59 s without the step, and every result was the
+# same.  Two places do without it.  With three vertices or fewer to find,
+# the uncoloured edge listing below is cheaper than the step: forcing
+# there made the directories of the dense-lemmas graphs (alpha 2-4) about
+# 20 % slower.  And _max_clique has no step: at its tight nodes (best -
+# size + 1 classes) the same step made the sigma scan of the sparse
+# graphs 4-20 % slower over four runs and alpha no faster, so only
+# _cliques asks _color_order for the uncoloured sets the step reads.
 #
 # The optimiser stays separate: asking _cliques for one clique at each
 # size in turn found the clique number about three times more slowly on
@@ -418,10 +441,11 @@ def is_connected(g: Graph) -> bool:
 # alpha is in the memo, _star's vertex scan stops at the first vertex that
 # attains it, and analyze finds alpha first for that reason.  _star never
 # searches for alpha itself: on G(300, 0.5) alpha takes about 0.6 s, and
-# sigma = 11 < alpha = 12 there, so the scan would not stop.  _alpha hands the optimiser a greedy clique as its
-# floor, the view's lowest bit, then the lowest bit among its complement
-# neighbours, and so on.  On G(800, 0.9), sigma after alpha fell from 6.5 s
-# to 0.014 s (2 vCPU, CPython 3.11.7).
+# sigma = 11 < alpha = 12 there, so the scan would not stop.  _alpha hands
+# the optimiser a greedy clique as its floor, the view's lowest bit, then
+# the lowest bit among its complement neighbours, and so on.  On
+# G(800, 0.9), sigma after alpha fell from 6.5 s to 0.014 s (2 vCPU,
+# CPython 3.11.7).
 
 _View = tuple[list[int], list[int], list[int]]
 
@@ -482,10 +506,15 @@ def _complement_view(g: Graph) -> _View:
     return keep, order, pos
 
 
-def _color_order(keep: list[int], cand: int, cut: int) -> list[tuple[int, int]]:
+def _color_order(
+    keep: list[int], cand: int, cut: int, remains: list[int] | None = None
+) -> list[tuple[int, int]]:
     """Greedy colouring of cand; returns (vertex, colour) in colour order for
     the vertices of colour above cut.  keep[v] holds the vertices that may
-    share v's colour: its non-neighbours in the complement."""
+    share v's colour: its non-neighbours in the complement.  When remains
+    is a list, the uncoloured set after each class up to the cut is appended
+    to it, so each of those classes is the difference of two consecutive
+    sets, cand before the first."""
     uncolored = cand
     color = 0
     while uncolored and color < cut:
@@ -495,6 +524,8 @@ def _color_order(keep: list[int], cand: int, cut: int) -> list[tuple[int, int]]:
             low = avail & -avail
             uncolored ^= low
             avail &= keep[low.bit_length() - 1]
+        if remains is not None:
+            remains.append(uncolored)
     order = []
     while uncolored:
         color += 1
@@ -506,6 +537,57 @@ def _color_order(keep: list[int], cand: int, cut: int) -> list[tuple[int, int]]:
             uncolored ^= low
             avail &= keep[v]
     return order
+
+
+def _force(
+    keep: list[int], cand: int, remains: list[int]
+) -> tuple[int, list[tuple[int, int]], int] | None:
+    """Unit propagation at a tight node: its colouring, given by the
+    uncoloured sets remains of _color_order, has exactly one class above the
+    cut, so it has as many classes as the clique the node seeks still
+    needs.  Each class is independent in the complement, so that clique
+    takes one vertex from every class.
+
+    Every one-vertex class is taken at once, and their neighbours in g
+    leave every other class, until no one-vertex class is left.  Returns
+    None when two taken vertices are adjacent in g or a class runs empty:
+    the node holds no such clique.  Otherwise returns (forced, todo, sub):
+    the mask of the taken vertices, the last class left as a branch order
+    with the number of classes left as its colour, and the union of the
+    classes left, so todo is empty when forced alone completes the clique.
+    """
+    sub = cand
+    classes = []
+    singles = 0
+    for after in [*remains, 0]:  # the last uncoloured set is the class above the cut
+        c = cand ^ after
+        cand = after
+        if c & (c - 1):
+            classes.append(c)
+        else:
+            singles |= c
+    forced = 0
+    while singles:
+        block = _union_mask(keep, singles)
+        if block & singles:
+            return None
+        forced |= singles
+        sub ^= sub & (block | singles)
+        singles = 0
+        left = []
+        for c in classes:
+            c ^= c & block
+            if c & (c - 1):
+                left.append(c)
+            elif c:
+                singles |= c
+            else:
+                return None
+        classes = left
+    if not classes:
+        return forced, [], 0
+    color = len(classes)
+    return forced, [(v, color) for v in _iter_bits(classes[-1])], sub
 
 
 def _max_clique(keep: list[int], cand: int, floor: int = 0) -> tuple[int, list[int]]:
@@ -547,30 +629,60 @@ def _cliques(
     """The cliques of exactly need vertices within cand, in branch order.
 
     Only vertices whose colour reaches the number still needed are branched
-    on, and the last two vertices are read off the candidates uncoloured;
-    the search stops once limit cliques are found.
+    on, a tight node that needs more than three vertices forces its
+    one-vertex classes (_force), and the last two vertices are read off the
+    candidates uncoloured; the search stops once limit cliques are found.
+    Each frame keeps how many vertices it added to chosen, its branch
+    vertex and the ones forced with it, and removes them when popped.
     """
     if need < 2:
         return [[v] for v in _iter_bits(cand)][:limit] if need else [[]]
-    found: list[list[int]] = []
+    # Only a node that needs more than three vertices is forced, so only
+    # its colouring keeps the uncoloured sets.
+    remains = [] if need > 3 else None
+    todo = _color_order(keep, cand, need - 1, remains)
     chosen: list[int] = []
-    stack = [[_color_order(keep, cand, need - 1), cand]]
+    if remains and todo and todo[-1][1] == need:
+        tight = _force(keep, cand, remains)
+        if tight is None:
+            return []
+        forced, todo, cand = tight
+        chosen += _iter_bits(forced)
+        if not todo:
+            return [chosen]
+    found: list[list[int]] = []
+    stack = [[todo, cand, 0]]  # the root frame is popped last, so it keeps chosen
     while stack:
-        todo, local = frame = stack[-1]
+        todo, local, added = frame = stack[-1]
         if not todo:
             stack.pop()
-            if chosen:
-                chosen.pop()
+            del chosen[len(chosen) - added :]
             continue
         v = todo.pop()[0]
         frame[1] = local = local ^ (1 << v)
         sub = local ^ (local & keep[v])
-        left = need - len(stack)
+        left = need - len(chosen) - 1
         if left > 2:
-            todo = _color_order(keep, sub, left - 1)
-            if todo:
+            remains = [] if left > 3 else None
+            todo = _color_order(keep, sub, left - 1, remains)
+            if not todo:
+                continue
+            if remains and todo[-1][1] == left:
+                tight = _force(keep, sub, remains)
+                if tight is None:
+                    continue
+                forced, todo, sub = tight
+                if not todo:
+                    found.append([*chosen, v, *_iter_bits(forced)])
+                    if len(found) == limit:
+                        return found
+                    continue
                 chosen.append(v)
-                stack.append([todo, sub])
+                chosen += _iter_bits(forced)
+                stack.append([todo, sub, 1 + forced.bit_count()])
+            else:
+                chosen.append(v)
+                stack.append([todo, sub, 1])
             continue
         if left == 2:  # each complement edge within sub completes a clique
             while sub:
@@ -584,6 +696,11 @@ def _cliques(
                     found.append([*chosen, v, w, low.bit_length() - 1])
                     if len(found) == limit:
                         return found
+            continue
+        if not left:  # below a tight node that forced all classes but one
+            found.append([*chosen, v])
+            if len(found) == limit:
+                return found
             continue
         for w in _iter_bits(sub):
             found.append([*chosen, v, w])

@@ -755,6 +755,111 @@ class TestCliqueEngine:
         assert calls == []
 
 
+def _independent_sets(g, pool, size):
+    """Every independent set of the given size within pool, sorted: the
+    cliques of that size of the complement, by brute force."""
+    return [
+        list(sub)
+        for sub in combinations(sorted(pool), size)
+        if all(not g.has_edge(u, v) for u, v in combinations(sub, 2))
+    ]
+
+
+def _tight_root(edges, n, need):
+    """keep (g's own rows, no relabelling), the full candidate set, and the
+    uncoloured sets of its greedy colouring, which must be tight."""
+    g = Graph(n, edges)
+    keep = list(g.masks)
+    full = (1 << n) - 1
+    remains = []
+    todo = graph_module._color_order(keep, full, need - 1, remains)
+    assert todo and todo[-1][1] == need
+    return g, keep, full, remains
+
+
+class TestTightPropagation:
+    """A colouring with exactly as many classes as the clique still needs
+    forces its one-vertex classes; each case is checked against the
+    independent sets of g found by brute force."""
+
+    def test_adjacent_forced_vertices_cut_the_node(self):
+        # Classes {0,1}, {2,3}, {4}, {5,6}.  Forcing 4 removes 0 and 2, so
+        # 1 and 3 are forced together, and they are adjacent in g.
+        edges = [(0, 1), (0, 4), (1, 3), (2, 3), (2, 4), (5, 6)]
+        g, keep, full, remains = _tight_root(edges, 7, 4)
+        assert graph_module._force(keep, full, remains) is None
+        assert graph_module._cliques(keep, full, 4) == _independent_sets(g, range(7), 4) == []
+
+    def test_forced_vertices_that_empty_a_class_cut_the_node(self):
+        # Classes {0,1}, {2}, {3}, {4,5}: forcing 2 and 3 removes 0 and 1.
+        edges = [(0, 1), (0, 2), (1, 3), (4, 5)]
+        g, keep, full, remains = _tight_root(edges, 6, 4)
+        assert graph_module._force(keep, full, remains) is None
+        assert graph_module._cliques(keep, full, 4) == _independent_sets(g, range(6), 4) == []
+
+    def test_a_cascade_forces_new_singletons(self):
+        # Classes {0,1}, {2}, {3,4}, {5,6}, {7,8}: forcing 2 leaves {1},
+        # forcing 1 leaves {4}, forcing 4 leaves {6}; {7,8} is untouched.
+        edges = [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (5, 6), (7, 8)]
+        for n, need, rest in ((7, 4, []), (9, 5, [(7, 1), (8, 1)])):
+            g, keep, full, remains = _tight_root(edges[: n - 1], n, need)
+            forced, todo, sub = graph_module._force(keep, full, remains)
+            assert (forced, todo, sub) == (0b1010110, rest, sum(1 << v for v, _ in rest))
+            found = sorted(sorted(c) for c in graph_module._cliques(keep, full, need))
+            assert found == _independent_sets(g, range(n), need) != []
+            assert graph_module._cliques(keep, full, need, 1)[0] in found
+
+    def test_every_size_matches_brute_force(self):
+        # Tight nodes below the root, reached through the explicit stack,
+        # on seeded graphs whose complements are mostly dense.
+        rng = random.Random(3203)
+        for k in range(240):
+            g = random_graph(rng, rng.randint(5, 12), (0.1, 0.2, 0.3, 0.5)[k % 4])
+            keep, order, _ = graph_module._complement_view(g)
+            full = (1 << g.n) - 1
+            for need in range(2, brute_alpha(g) + 2):
+                want = _independent_sets(g, range(g.n), need)
+                found = graph_module._cliques(keep, full, need)
+                assert sorted(sorted(order[i] for i in c) for c in found) == want
+                assert graph_module._cliques(keep, full, need, 1) == found[:1]
+
+
+class TestCliquesAgainstNetworkx:
+    def test_maximum_cliques_of_the_complement(self):
+        # Over the whole vertex set (the directories) and over each
+        # neighbourhood (the sigma probes), with and without a limit.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(3204)
+        for p in (0.1, 0.2, 0.5, 0.9):
+            for _ in range(4):
+                g = random_graph(rng, rng.randint(10, 30), p)
+                keep, order, pos = graph_module._complement_view(g)
+                G = nx.Graph()
+                G.add_nodes_from(range(g.n))
+                G.add_edges_from(g.edges())
+                co = nx.complement(G)
+                sets = [((1 << g.n) - 1, co)]
+                sets += [(keep[pos[v]], co.subgraph(g.neighbors(v))) for v in range(g.n)]
+                for cand, sub in sets:
+                    cliques = list(nx.find_cliques(sub)) if len(sub) else [[]]
+                    size = max(map(len, cliques))
+                    want = sorted(sorted(c) for c in cliques if len(c) == size)
+                    found = graph_module._cliques(keep, cand, size)
+                    assert sorted(sorted(order[i] for i in c) for c in found) == want
+                    (one,) = graph_module._cliques(keep, cand, size, 1)
+                    assert sorted(order[i] for i in one) in want
+                    assert graph_module._cliques(keep, cand, size + 1, 1) == []
+
+    def test_deep_listing_past_the_recursion_limit(self):
+        # 1100K2: every level's colouring is tight, with 2-vertex classes
+        # only, so each level branches and nothing is forced.
+        g = lex_product(empty_graph(1100), complete_graph(2))
+        keep, order, _ = graph_module._complement_view(g)
+        (found,) = graph_module._cliques(keep, (1 << g.n) - 1, 1100, 1)
+        labels = sorted(order[i] for i in found)
+        assert len(labels) == 1100 and [v // 2 for v in labels] == list(range(1100))
+
+
 class TestAddress:
     def test_rs3_clique_vertex(self, rs3_m2):
         assert address(rs3_m2, [0, 1, 2], 3) == [1, 2]
