@@ -198,7 +198,9 @@ def _age_levels(g: Graph, k: int):
     in the order they were made and new vertices in ascending order, so
     the subsets of each size come in combinations order, and every
     embedding list and first witness is the one a scan of
-    combinations(range(n), s) finds.
+    combinations(range(n), s) finds.  One dict per scan keeps the code
+    of each induced masks tuple, which comes up again for every subset
+    that induces the same labelled graph.
     """
     if k < 0:
         raise ValueError(f"age size k must be at least 0, got {k}")
@@ -208,6 +210,7 @@ def _age_levels(g: Graph, k: int):
         raise OrderTooLarge(f"age computation capped at size {_ORDER_LIMIT}, got {k}")
     adj = g.masks
     subsets = [((), (), (1 << g.n) - 1)]
+    codes: dict[tuple[int, ...], bytes] = {}
     for size in range(k):
         bit = 1 << size
         grown = []
@@ -226,7 +229,9 @@ def _age_levels(g: Graph, k: int):
                 rows.append(new_row)
                 sub, sub_sig, sub_cone = comb + (v,), tuple(rows), cone & row
                 grown.append((sub, sub_sig, sub_cone))
-                code = _code(sub_sig)
+                code = codes.get(sub_sig)
+                if code is None:
+                    code = codes[sub_sig] = _code(sub_sig)
                 entry = level.get(code)
                 if entry is None:
                     entry = level[code] = [sub_sig, [], None, None]

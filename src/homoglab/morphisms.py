@@ -15,8 +15,8 @@ and the deciders in homogeneity.py read every local map from the walker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterator
 
 from .errors import InternalInvariant, OrderTooLarge, SeedNotLocalMorphism
@@ -309,12 +309,8 @@ def _twins(adj: tuple[int, ...]) -> list[int]:
     return twins
 
 
-@lru_cache(maxsize=1 << 15)
-def _code(adj: tuple[int, ...]) -> bytes:
-    """canonical_code of the graph with neighbourhood masks adj, memoised.
-
-    The only memo in the package; its size is fixed, so a long run evicts
-    the least recently used codes and recomputes them when asked again.
+def _code_search(adj: tuple[int, ...]) -> bytes:
+    """canonical_code of the graph with neighbourhood masks adj, searched.
 
     The search places one vertex per level.  Each node holds the columns of
     the unplaced vertices against the placed prefix, grouped into cells
@@ -388,51 +384,84 @@ def _code(adj: tuple[int, ...]) -> bytes:
     return bytes([n]) + b"".join(c.to_bytes(2, "big") for c in best)
 
 
+def _add_vertex(masks: tuple[int, ...], row: int) -> tuple[int, ...]:
+    """The masks of the graph masks plus one new vertex, last, joined to
+    the vertices of the mask row: the one extension step of the order-4
+    table and of enumerate_graphs."""
+    new = 1 << len(masks)
+    return tuple(m | new if row >> v & 1 else m for v, m in enumerate(masks)) + (row,)
+
+
+def _labelled(n: int) -> list[tuple[int, ...]]:
+    """The masks of every labelled graph on n vertices, 2^C(n, 2) of them."""
+    graphs = [()]
+    for order in range(n):
+        graphs = [_add_vertex(masks, row) for masks in graphs for row in range(1 << order)]
+    return graphs
+
+
+# The code of each of the 76 labelled graphs of order 0-4, keyed by its
+# masks, read-only and derived from _code_search at import.  Most codes the
+# age scans of distinct graphs share are of these orders.
+_SMALL_CODES = MappingProxyType({adj: _code_search(adj) for n in range(5) for adj in _labelled(n)})
+
+
+def _code(adj: tuple[int, ...]) -> bytes:
+    """canonical_code of the graph with neighbourhood masks adj: read from
+    _SMALL_CODES up to order 4, searched above it."""
+    return _SMALL_CODES.get(adj) or _code_search(adj)
+
+
 # --- exhaustive enumeration up to isomorphism ------------------------------
 
 # Largest order enumerate_graphs accepts; order 8 asks for 102,150 codes.
 _ENUMERATION_ORDER = 8
 
 
-def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of n-vertex graphs.
+def _representatives(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the masks of one representative per isomorphism class for
+    each order 1..n in turn, ordered by canonical code.
 
-    Built by one-vertex extensions of the (n-1)-vertex representatives,
-    deduplicated through canonical codes; every n-vertex graph arises this
-    way since deleting a vertex lands in some (n-1)-vertex class.  Output
-    is ordered by canonical code.  Each call builds orders 2..n afresh.
+    Each order is built by one-vertex extensions of the one before,
+    deduplicated through canonical codes; every graph arises this way
+    since deleting a vertex lands in some class one order smaller.  Each
+    extension coded within one order is a distinct masks tuple, so a memo
+    of codes would never be hit.
 
     Twin skip: when u < w are twins of the parent (neighbourhoods equal
     outside {u, w}), swapping them is an automorphism of the parent, so a
     row holding w but not u gives the same class as the smaller row with
     u in place of w, which comes earlier from the same parent.  Such a row
     is never the first of its class and is skipped; the representatives
-    and their order are the ones the full loop keeps.  Through order 7
-    (7,194 codes) a repeated call is served from the code memo; order 8
-    asks for 102,150 codes, more than the memo holds, so a repeated call
-    costs about as much as the first.
+    and their order are the ones the full loop keeps.
     """
-    if n < 1:
-        raise ValueError("enumeration starts at order 1")
-    if n > _ENUMERATION_ORDER:
-        raise OrderTooLarge(f"enumeration capped at order {_ENUMERATION_ORDER}, got {n}")
     reps = ((0,),)
+    yield reps
     for order in range(2, n + 1):
-        new = 1 << (order - 1)
         seen: dict[bytes, tuple[int, ...]] = {}
         for masks in reps:
             twins = _twins(masks)
             # Each vertex u with twins above it, and their mask.
             higher = [(1 << u, t >> u + 1 << u + 1) for u, t in enumerate(twins) if t >> u + 1]
-            for row in range(new):
+            for row in range(1 << (order - 1)):
                 if any(row & w and not row & u for u, w in higher):
                     continue
-                # The new vertex joins the vertices of row.
-                ext = tuple(m | new if row >> v & 1 else m for v, m in enumerate(masks))
-                ext += (row,)
+                ext = _add_vertex(masks, row)
                 code = _code(ext)
                 if code not in seen:
                     seen[code] = ext
         reps = tuple(ext for _, ext in sorted(seen.items()))
+        yield reps
+
+
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of n-vertex graphs,
+    ordered by canonical code: the last order _representatives builds.
+    Each call builds orders 2..n afresh."""
+    if n < 1:
+        raise ValueError("enumeration starts at order 1")
+    if n > _ENUMERATION_ORDER:
+        raise OrderTooLarge(f"enumeration capped at order {_ENUMERATION_ORDER}, got {n}")
+    *_, reps = _representatives(n)
     for masks in reps:
         yield Graph._of(masks)

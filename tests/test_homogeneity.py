@@ -166,6 +166,28 @@ class TestKkOkk:
         codes = {cls.code for cls in part.classes}
         assert part.kk | part.okk == codes
 
+    def test_each_labelled_subgraph_is_coded_once_per_scan(self, monkeypatch):
+        # The scan keeps the code of each induced masks tuple, so it asks
+        # _code once per labelled subgraph: 189 times for the 637 subsets
+        # of Petersen of size <= 5.  A second scan asks the same again,
+        # since nothing is kept between calls.
+        asked = []
+        code = homogeneity._code
+
+        def recording(adj):
+            asked.append(adj)
+            return code(adj)
+
+        monkeypatch.setattr(homogeneity, "_code", recording)
+        g = petersen()
+        first = kk_okk(g, 5)
+        keys = list(asked)
+        assert len(keys) == len(set(keys))
+        assert len(keys) == 189
+        asked.clear()
+        assert kk_okk(g, 5) == first
+        assert asked == keys
+
 
 class TestPreceq:
     def test_path_folds_onto_edge(self):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from homoglab import morphisms
 from homoglab.errors import InternalInvariant, OrderTooLarge, SeedNotLocalMorphism
 from homoglab.graphs import (
+    Graph,
     complement,
     complete_graph,
     cycle_graph,
@@ -592,27 +593,30 @@ class TestEnumeration:
 
 
 class TestCodeMemo:
-    """No result depends on the state of the canonical-code memo.
-
-    The enumeration test comes first: in a full run the order-7 codes are
-    still in the memo from the acceptance suite, and the tests after it
-    clear the memo.
-    """
+    """The codes kept within a call, in the age scan's per-scan dict, and
+    the order-4 table give the codes the search gives, and no result
+    depends on an earlier call: nothing is kept between calls."""
 
     def test_enumeration(self):
-        # Order 7 fills the memo with 7,194 codes; order 5 read from it
-        # must match order 5 built from a cleared memo.
+        before = [g.masks for g in enumerate_graphs(5)]
         list(enumerate_graphs(7))
-        after_seven = [g.masks for g in enumerate_graphs(5)]
-        morphisms._code.cache_clear()
-        assert [g.masks for g in enumerate_graphs(5)] == after_seven
+        assert [g.masks for g in enumerate_graphs(5)] == before
 
-    def test_memo_is_bounded(self):
-        assert morphisms._code.cache_info().maxsize == 1 << 15
+    def test_small_code_table(self):
+        # All 76 labelled graphs of order 0-4, each with the code of the
+        # plain minimum-column search; the table is read-only.
+        table = morphisms._SMALL_CODES
+        assert len(table) == 76
+        assert sorted({len(adj) for adj in table}) == [0, 1, 2, 3, 4]
+        for adj, code in table.items():
+            assert code == reference_min_column_code(Graph.from_masks(adj)), adj
+            assert morphisms._code(adj) == code
+        with pytest.raises(TypeError):
+            table[()] = b""
 
     def test_codes(self):
         # Codes of every class of order <= 6, under a seeded relabelling,
-        # are the same from a warm memo and from a cleared one.
+        # are the same on a second call.
         rng = random.Random(61)
         sample = []
         for n in range(1, 7):
@@ -620,14 +624,12 @@ class TestCodeMemo:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 sample.append(g.relabel(perm))
-        warm = [canonical_code(g) for g in sample]
-        morphisms._code.cache_clear()
-        assert [canonical_code(g) for g in sample] == warm
+        first = [canonical_code(g) for g in sample]
+        assert [canonical_code(g) for g in sample] == first
 
     def test_age_partition(self):
         rng = random.Random(8)
         sample = [random_graph(rng, n, 0.5) for n in range(1, 9)]
         sample += [path_graph(7), cycle_graph(6)]
-        warm = [kk_okk(g, g.n) for g in sample]
-        morphisms._code.cache_clear()
-        assert [kk_okk(g, g.n) for g in sample] == warm
+        first = [kk_okk(g, g.n) for g in sample]
+        assert [kk_okk(g, g.n) for g in sample] == first

@@ -23,10 +23,11 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-# The process-global memo caches the package keeps on purpose; the README
-# names them.  A new one must be added here and there, not slip in.  The one
-# memo left, morphisms._code, is a bounded functools.lru_cache and holds no
-# module-level container.
+# The process-global memo caches the package keeps: none.  Operations keep
+# no state between calls; a memo lives in one call, as the age scan's dict
+# of codes does, and the only module-level code data, morphisms._SMALL_CODES,
+# is a read-only table built at import.  A new cache must be added here and
+# in the README, not slip in.
 PROCESS_CACHES: set[str] = set()
 
 
@@ -60,36 +61,31 @@ def test_module_level_caches_are_the_known_ones():
     assert found == PROCESS_CACHES
 
 
-def _is_unbounded_memo(decorator) -> bool:
-    """functools.cache, or lru_cache with maxsize None, under any import."""
-
-    def name(node):
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        return node.id if isinstance(node, ast.Name) else None
-
-    if name(decorator) == "cache":
-        return True
-    if not isinstance(decorator, ast.Call) or name(decorator.func) != "lru_cache":
-        return False
-    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
-    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+def _is_memo(decorator) -> bool:
+    """functools.cache or functools.lru_cache, called or not, bounded or
+    not, under any import."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        name = decorator.attr
+    else:
+        name = decorator.id if isinstance(decorator, ast.Name) else None
+    return name in ("cache", "lru_cache")
 
 
-def test_no_unbounded_memo_decorators():
+def test_no_memo_decorators():
     found = []
     for path in sorted(SOURCE.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(_is_unbounded_memo(d) for d in node.decorator_list):
+                if any(_is_memo(d) for d in node.decorator_list):
                     found.append(f"{path.name}:{node.name}")
-    assert not found, f"unbounded memo decorators in the package: {found}"
+    assert not found, f"memo decorators in the package: {found}"
 
 
-def test_unbounded_memo_guard_catches_each_form():
-    # The guard must see every spelling that memoises without bound, and
-    # pass the bounded one the package uses.
+def test_memo_guard_catches_each_form():
+    # The guard must see every spelling of a functools memo, bounded or
+    # not, and pass other decorators.
     def first_decorator(source):
         return ast.parse(source).body[0].decorator_list[0]
 
@@ -98,15 +94,18 @@ def test_unbounded_memo_guard_catches_each_form():
         "@cache\ndef f(x): pass",
         "@functools.lru_cache(maxsize=None)\ndef f(x): pass",
         "@lru_cache(None)\ndef f(x): pass",
-    ):
-        assert _is_unbounded_memo(first_decorator(source)), source
-    for source in (
         "@lru_cache(maxsize=1 << 15)\ndef f(x): pass",
         "@functools.lru_cache\ndef f(x): pass",
         "@lru_cache()\ndef f(x): pass",
-        "@dataclass(frozen=True)\nclass C: pass",
     ):
-        assert not _is_unbounded_memo(first_decorator(source)), source
+        assert _is_memo(first_decorator(source)), source
+    for source in (
+        "@dataclass(frozen=True)\nclass C: pass",
+        "@property\ndef f(self): pass",
+        "@classmethod\ndef f(cls): pass",
+        "@given(st.integers())\ndef f(x): pass",
+    ):
+        assert not _is_memo(first_decorator(source)), source
 
 
 def _unused_imports(source: str) -> list[str]:
