@@ -95,7 +95,35 @@ def graph_to_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_edgelist(text: str) -> Graph:
+def _edgelist_in_writer_layout(text: str):
+    """The order and edges of a text laid out as graph_to_edgelist writes
+    it, from one split of the whole text; None for any other text.
+
+    The text must equal its tokens joined in pairs, one space inside each
+    line and one newline after each but perhaps the last, so every line
+    holds exactly two tokens: a line of three tokens beside a line of one
+    is refused, where the split alone would pair them silently.  A header
+    other than 'p <n>', an order above the cap or a token int refuses is
+    left to the line walk, which names it.
+    """
+    tokens = text.split()
+    it = iter(tokens)
+    joined = "\n".join(map(" ".join, zip(it, it)))
+    if tokens[:1] != ["p"] or text not in (joined, joined + "\n"):
+        return None
+    try:
+        n = int(tokens[1])
+        ends = list(map(int, tokens[2:]))
+    except ValueError:
+        return None
+    if n > _MAX_ORDER:
+        return None
+    return n, zip(ends[0::2], ends[1::2])
+
+
+def _edgelist_by_lines(text: str):
+    """The order and edges of an edge list, read line by line; raises
+    FormatError at the first line that is not a 'p <n>' header or an edge."""
     tokens = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -121,6 +149,14 @@ def graph_from_edgelist(text: str) -> Graph:
         except ValueError as exc:
             raise FormatError(f"bad edge line {' '.join(parts)!r}") from exc
         edges.append((u, v))
+    return n, edges
+
+
+def graph_from_edgelist(text: str) -> Graph:
+    """Read an edge list.  Text in the writer's layout takes one split;
+    any other text is walked line by line, which gives the same graph or
+    names the first bad line."""
+    n, edges = _edgelist_in_writer_layout(text) or _edgelist_by_lines(text)
     try:
         return Graph(n, edges)
     except ValueError as exc:

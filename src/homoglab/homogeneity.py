@@ -40,12 +40,52 @@ local isomorphism a local monomorphism, so (H, H) implies (M, H), which
 implies (I, H).  An automorphism is an endomorphism, so (I, A) also
 implies (I, H).  (I, A) is homogeneity, and Gardiner (Homogeneous graphs,
 JCTB 1976) lists the finite homogeneous graphs: the unions mK_r of equal
-cliques, their complements, C5 and K3xK3.  _homogeneous recognises that
+cliques, their complements, C5 and K3xK3.  _i_theory recognises that
 list; C5 and K3xK3 are the only strongly regular graphs with parameters
-(5, 2, 0, 1) and (9, 4, 1, 2), so a parameter check is exact.  So (M, H)
-is true when (H, H) is, (I, H) when (H, H) is or the graph is on the
-list, and (I, Y) for Y other than H when the graph is on the list.  A
-true verdict has no counterexample, so the report is the one the search
+(5, 2, 0, 1) and (9, 4, 1, 2), so a parameter check is exact.
+
+Two more families are (I, H)-homogeneous without being homogeneous.
+
+* Complete multipartite graphs.  Non-adjacency (or equality) is an
+  equivalence relation whose classes are the parts.  A local isomorphism
+  f maps each part's vertices into one part, and vertices of different
+  parts to different parts.  So f induces a partial injection between
+  parts; extend it to a bijection pi of the parts.  Send each vertex
+  outside the domain into pi of its part.  Adjacent vertices lie in
+  different parts, so their images are adjacent.  g is complete
+  multipartite exactly when the sets "v and its non-neighbours"
+  partition the vertices; those sets are the parts.
+* The joins K_t v mK_r.  Write T for the t universal vertices and
+  B_1..B_m for the blocks: r-cliques, pairwise non-adjacent, each joined
+  to T.  Let f: A -> G be a local isomorphism.
+  - A meets two blocks.  Vertices of A in different blocks are distinct
+    and non-adjacent, so their images are too.  Neither image is
+    universal, so both lie in blocks, and in different blocks.  A clique
+    of block vertices lies in one block.  So f maps A & B_i into one
+    block B_s(i), with s injective.  A vertex of A & T has neighbours
+    among the images in two blocks, so its image lies in T.  Extend s to
+    a permutation of the blocks.  Map T - A onto T - f(A), and each
+    B_i - A onto B_s(i) - f(A), by any bijections.  The result is an
+    automorphism that extends f.
+  - A meets at most one block.  Then A is a clique, so f(A) is a clique,
+    and every clique of G lies in some K = T | B_j, which is itself a
+    clique on t + r vertices.  A homomorphism G -> K is a proper
+    colouring with the colours K: T takes t distinct colours and every
+    block takes the r colours left over.  Keep f on A, and colour T - A
+    injectively from K - f(A), which has at least t - |A & T| colours.
+    f is injective, so f(A & B_i) avoids the colours of T.  Colour the
+    rest of each block with the block colours not yet used.  This
+    colouring is an endomorphism that extends f.
+
+  The proof uses none of t >= 1, m >= 2 or r >= 2, so the recogniser
+  needs no bounds: t = 0 gives mK_r, and r = 1 a complete multipartite
+  graph.  g is such a join exactly when the vertices whose closed
+  neighbourhood is not every vertex induce an mK_r.
+
+So (M, H) is true when (H, H) is; (I, H) when (H, H) is, or the graph is
+on Gardiner's list, complete multipartite or a join K_t v mK_r; and
+(I, Y) for Y other than H when the graph is on Gardiner's list.  A true
+verdict has no counterexample, so the report is the one the search
 gives.  Otherwise (M, H) and (I, H) search for an extension of every
 local morphism; a one-point extension of a local monomorphism can leave
 the class of local monomorphisms, so no one-point argument is known to
@@ -72,7 +112,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OrderTooLarge
-from .graphs import Graph, _clique_components, _iter_bits, complement
+from .graphs import Graph, _iter_bits
 from .morphisms import (
     KINDS,
     MorphismConstraints,
@@ -381,10 +421,34 @@ def _i_to_automorphism_failure(g: Graph) -> dict | None:
     return None
 
 
+def _block_sizes(blocks: set[int], within: int) -> set[int] | None:
+    """The sizes of blocks when they partition within, else None.  Each
+    vertex of within lies in the block read for it, and every block lies
+    in within, so distinct blocks whose sizes add up to the size of within
+    are disjoint: the classes of an equivalence relation."""
+    sizes = [block.bit_count() for block in blocks]
+    return set(sizes) if sum(sizes) == within.bit_count() else None
+
+
+def _equal_sizes(sizes: set[int] | None) -> bool:
+    """Whether a _block_sizes result is a partition into blocks of one size."""
+    return sizes is not None and len(sizes) <= 1
+
+
 def _equal_cliques(g: Graph) -> bool:
-    """Whether g is mK_r: every component a clique, all of one size."""
-    comps = _clique_components(g)
-    return comps is not None and len({comp.bit_count() for comp in comps}) <= 1
+    """Whether g is mK_r: the closed neighbourhoods partition the vertices,
+    so each is a component and a clique, and all have one size."""
+    full = (1 << g.n) - 1
+    return _equal_sizes(_block_sizes({row | 1 << v for v, row in enumerate(g.masks)}, full))
+
+
+def _joined_cliques(g: Graph) -> bool:
+    """Whether g is K_t v mK_r: the vertices whose closed neighbourhood is
+    not every vertex induce mK_r."""
+    full = (1 << g.n) - 1
+    closed = [row | 1 << v for v, row in enumerate(g.masks)]
+    rest = sum(1 << v for v, c in enumerate(closed) if c != full)
+    return _equal_sizes(_block_sizes({c & rest for c in closed if c != full}, rest))
 
 
 # The strongly regular parameters (k, lambda, mu) of C5 and K3xK3, by
@@ -392,11 +456,8 @@ def _equal_cliques(g: Graph) -> bool:
 _SPORADIC = {5: (2, 0, 1), 9: (4, 1, 2)}
 
 
-def _homogeneous(g: Graph) -> bool:
-    """Whether g is on Gardiner's list of the finite homogeneous graphs:
-    mK_r, the complement of one, C5 or K3xK3."""
-    if _equal_cliques(g) or _equal_cliques(complement(g)):
-        return True
+def _sporadic(g: Graph) -> bool:
+    """Whether g is C5 or K3xK3."""
     if g.n not in _SPORADIC:
         return False
     k, common_adjacent, common_apart = _SPORADIC[g.n]
@@ -405,6 +466,25 @@ def _homogeneous(g: Graph) -> bool:
         (adj[u] & adj[v]).bit_count() == (common_adjacent if adj[u] >> v & 1 else common_apart)
         for u, v in combinations(range(g.n), 2)
     )
+
+
+def _i_theory(g: Graph, y: str) -> bool:
+    """Whether a proof in the module docstring gives (I, y).  For y other
+    than H: g is on Gardiner's list of the finite homogeneous graphs, mK_r,
+    the complement of one, C5 or K3xK3.  For y = H: g is complete
+    multipartite, K_t v mK_r, C5 or K3xK3; the first family holds the
+    complements of the mK_r and the second, at t = 0, the mK_r.  The
+    sets "v and its non-neighbours" partition the vertices exactly when g
+    is complete multipartite, and are then its parts, which serve both the
+    complement half of the list and the multipartite test."""
+    full = (1 << g.n) - 1
+    parts = _block_sizes({full ^ row for row in g.masks}, full)
+    if y != "H":
+        if _equal_sizes(parts) or _equal_cliques(g):
+            return True
+    elif parts is not None or _joined_cliques(g):
+        return True
+    return _sporadic(g)
 
 
 _AUTOMORPHISM_FAILURE = {
@@ -426,7 +506,8 @@ def decide_xy(g: Graph, x: str, y: str) -> HomogReport:
     (M, H) is true when (H, H) is, since a local monomorphism is a local
     homomorphism; (I, H) is true when (H, H) is or the graph is on
     Gardiner's list, since a local isomorphism is a local homomorphism and
-    an automorphism an endomorphism.  Else (M, H) and (I, H) search for an
+    an automorphism an endomorphism, and when the graph is complete
+    multipartite or a join K_t v mK_r.  Else (M, H) and (I, H) search for an
     extension of every local morphism, which is exponential and only meant
     for small orders; every cell is capped at order 10, with no override.
     """
@@ -437,13 +518,13 @@ def decide_xy(g: Graph, x: str, y: str) -> HomogReport:
     if g.n > _ORDER_LIMIT:
         raise OrderTooLarge(f"direct decider capped at order {_ORDER_LIMIT}, got {g.n}")
     # A route that holds answers "true" before any walk.
-    homogeneous = x == "I" and _homogeneous(g)
+    theory = x == "I" and _i_theory(g, y)
     if y != "H":
-        counterexample = None if homogeneous else _AUTOMORPHISM_FAILURE[x](g)
+        counterexample = None if theory else _AUTOMORPHISM_FAILURE[x](g)
         note = _FINITE_COLLAPSE_NOTE
     elif x == "H":
         counterexample, note = _hh_failure(g), None
-    elif homogeneous or _hh_failure(g) is None:
+    elif theory or _hh_failure(g) is None:
         counterexample, note = None, None
     else:
         counterexample, note = _h_search_failure(g, x), None

@@ -87,6 +87,32 @@ def test_malformed_inputs(bad):
 
 
 @pytest.mark.parametrize(
+    "text, line",
+    [("p 3\n0 1 2\n1\n", "0 1 2"), ("p 3\n0\n1 2 1\n", "0"), ("p 4\n0 1 2 3\n", "0 1 2 3")],
+)
+def test_mispaired_edge_lines_refused(text, line):
+    # Each text has an even number of tokens, so one split of the whole
+    # text would pair them into edges; every line must hold two tokens.
+    with pytest.raises(FormatError, match=f"^bad edge line {line!r}$"):
+        graph_from_edgelist(text)
+
+
+def test_seeded_edgelist_round_trip():
+    # The writer's layout is read by one split; the same text with other
+    # spacing and line ends is read line by line, to the same graph.
+    rng = random.Random(2024)
+    for n in (0, 1, 2, 7, 40, 120):
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = random_graph(rng, n, density)
+            text = graph_to_edgelist(g)
+            assert formats._edgelist_in_writer_layout(text) is not None
+            assert graph_from_edgelist(text) == graph_from_edgelist(text.rstrip("\n")) == g
+            loose = "\r\n\n".join("  " + line + " \t" for line in text.splitlines())
+            assert formats._edgelist_in_writer_layout(loose) is None
+            assert graph_from_edgelist(loose) == g
+
+
+@pytest.mark.parametrize(
     "bad",
     ["Bw>", "B>w", ">>graph6<<B\x7fw", ">>graph6<<Bw\x7f", "Bwé", "é"],
 )

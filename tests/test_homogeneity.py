@@ -690,7 +690,7 @@ class TestTheoryRoutes:
         graphs = list(_relabelled_classes(6, 4111)) + _gardiner_catalogue()
         for g in graphs:
             expected = homogeneity._i_to_automorphism_failure(g) is None
-            assert homogeneity._homogeneous(g) == expected, g.masks
+            assert homogeneity._i_theory(g, "A") == expected, g.masks
 
     def test_gardiner_recogniser_at_order_10(self):
         # The (I, A) search holds on the first three too, but takes 8-19 s
@@ -702,13 +702,13 @@ class TestTheoryRoutes:
             complete_graph(10),
             empty_graph(10),
         ]
-        assert all(homogeneity._homogeneous(g) for g in homogeneous)
+        assert all(homogeneity._i_theory(g, "A") for g in homogeneous)
         # Unequal clique unions and their complements are not homogeneous:
         # a vertex of a small part and one of a large part are not swapped
         # by any automorphism.
         unequal = [clique_union((5, 4)), clique_union((2, 2, 2, 2, 1)), clique_union((2,) + (1,) * 8)]
-        assert not any(homogeneity._homogeneous(g) for g in unequal)
-        assert not any(homogeneity._homogeneous(complement(g)) for g in unequal)
+        assert not any(homogeneity._i_theory(g, "A") for g in unequal)
+        assert not any(homogeneity._i_theory(complement(g), "A") for g in unequal)
 
     def test_rusinov_schweitzer_mh_equals_hh(self):
         # MH = HH (Rusinov and Schweitzer 2010), on every class up to
@@ -725,6 +725,102 @@ class TestTheoryRoutes:
         for g in (complete_graph(10), empty_graph(10)):
             for x, y in (("M", "H"), ("I", "H"), ("I", "A")):
                 assert decide_xy(g, x, y).verdict
+
+    def test_no_search_and_no_walk_on_multipartite_graphs_and_joins(self, monkeypatch):
+        # K10 - e and K_{1,9} are complete multipartite, and K4 v 2K3 is a
+        # join K_t v mK_r; the search took over 60 s on each of the first
+        # two.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map was walked")
+
+        for name in ("search_morphism", "_local_maps", "_targets"):
+            monkeypatch.setattr(homogeneity, name, refuse)
+        for g in (complement(clique_union((2,) + (1,) * 8)), complement(clique_union((9, 1))), _join(4, 2, 3)):
+            assert decide_xy(g, "I", "H").verdict
+
+    def test_new_routes_accept_the_multipartite_graphs_and_joins_at_order_7(self):
+        # The 15 complete multipartite classes, one per partition of 7, and
+        # the 3 joins K_t v mK_r with t, m, r >= 1, 2, 2; the theory route
+        # accepts nothing else, and Gardiner's list at order 7 is K7 and I7.
+        expected = {canonical_code(_multipartite(parts)) for parts in _partitions(7)}
+        expected |= {canonical_code(_join(t, m, r)) for t, m, r in ((1, 2, 3), (1, 3, 2), (3, 2, 2))}
+        assert len(expected) == 18
+        gardiner = {canonical_code(complete_graph(7)), canonical_code(empty_graph(7))}
+        accepted = set()
+        for g in enumerate_graphs(7):
+            code = canonical_code(g)
+            assert homogeneity._i_theory(g, "A") == (code in gardiner)
+            if homogeneity._i_theory(g, "H"):
+                accepted.add(code)
+        assert accepted == expected
+        assert len(accepted - gardiner) == 16
+
+
+def _partitions(n: int, largest: int | None = None):
+    """Every partition of n into parts of at most largest, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _multipartite(parts) -> Graph:
+    """The complete multipartite graph with parts of the given sizes."""
+    return complement(clique_union(parts))
+
+
+def _join(t: int, m: int, r: int) -> Graph:
+    """K_t v mK_r: the complement of I_t beside the complement of mK_r."""
+    return complement(disjoint_union(empty_graph(t), complement(clique_union((r,) * m))))
+
+
+# The rows (HH, MH, IH, HA, MA, IA) of the six distinct cells seen on the
+# classes of each order, T for true; every other row count is 0.
+_CENSUS_ROWS = {
+    1: {"TTTTTT": 1},
+    2: {"TTTTTT": 1, "TTTFTT": 1},
+    3: {"TTTTTT": 1, "TTTFTT": 1, "FFTFFF": 1, "FFFFFF": 1},
+    4: {"TTTTTT": 1, "TTTFTT": 1, "TTTFFT": 1, "FFTFFT": 1, "FFTFFF": 2, "FFFFFF": 5},
+    5: {"TTTTTT": 1, "TTTFTT": 1, "FFTFFT": 1, "FFTFFF": 6, "FFFFFF": 25},
+    6: {"TTTTTT": 1, "TTTFTT": 1, "TTTFFT": 2, "FFTFFT": 2, "FFTFFF": 8, "FFFFFF": 142},
+}
+
+
+class TestXYCensus:
+    """The six distinct cells on every class of order <= 6, against the
+    finite theory, each column from its own constructions."""
+
+    def test_six_cells_match_the_theory_up_to_order_6(self):
+        cells = (("H", "H"), ("M", "H"), ("I", "H"), ("H", "A"), ("M", "A"), ("I", "A"))
+        code = canonical_code
+        for n, want in _CENSUS_ROWS.items():
+            unions = [clique_union((r,) * (n // r)) for r in range(1, n + 1) if n % r == 0]
+            equal_cliques = {code(g) for g in unions}
+            gardiner = equal_cliques | {code(complement(g)) for g in unions}
+            if n == 5:
+                gardiner.add(code(cycle_graph(5)))
+            joins = {code(_join(t, m, r)) for t in range(1, n) for r in range(2, n)
+                     for m in range(2, n) if t + m * r == n}
+            rules = {
+                ("H", "H"): equal_cliques,
+                ("M", "H"): equal_cliques,
+                ("I", "H"): gardiner | {code(_multipartite(parts)) for parts in _partitions(n)} | joins,
+                ("H", "A"): {code(complete_graph(n))},
+                ("M", "A"): {code(complete_graph(n)), code(empty_graph(n))},
+                ("I", "A"): gardiner,
+            }
+            rows = {}
+            for g in enumerate_graphs(n):
+                g_code = code(g)
+                row = ""
+                for cell in cells:
+                    verdict = decide_xy(g, *cell).verdict
+                    assert verdict == (g_code in rules[cell]), (g.masks, cell)
+                    row += "T" if verdict else "F"
+                rows[row] = rows.get(row, 0) + 1
+            assert rows == want, n
 
 
 class TestNeighborhoodClosure:
