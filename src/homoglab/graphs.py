@@ -332,15 +332,12 @@ def _components(g: Graph) -> Iterator[int]:
 
 def _clique_components(g: Graph) -> list[int] | None:
     """The component masks by least vertex, or None when some component is
-    not a clique: a component is one when every member's closed
-    neighbourhood is the whole component.  The scan stops at the first
-    component that is not."""
-    comps = []
-    for comp in _components(g):
-        if any(g.masks[v] | 1 << v != comp for v in _iter_bits(comp)):
-            return None
-        comps.append(comp)
-    return comps
+    not a clique: homogeneity._block_sizes's rule, that the distinct closed
+    neighbourhoods partition the vertices when their sizes add up to n."""
+    closed = {row | 1 << v for v, row in enumerate(g.masks)}
+    if sum(c.bit_count() for c in closed) != g.n:
+        return None
+    return sorted(closed, key=lambda c: c & -c)
 
 
 def is_connected(g: Graph) -> bool:
@@ -450,25 +447,26 @@ def is_connected(g: Graph) -> bool:
 _View = tuple[list[int], list[int], list[int]]
 
 
-def _view_rows(masks: tuple[int, ...], order: list[int], pos: list[int]) -> list[int]:
-    """The rows of masks restricted to the vertices of order, in bits that
-    follow order: row i is masks[order[i]] within order, with bit pos[u]
-    for each member u.  pos is read only at the vertices of order.
+def _view_rows(masks: tuple[int, ...], order: Sequence[int], pos: Sequence[int]) -> list[int]:
+    """The rows of masks restricted to the vertices of order: row i is
+    masks[order[i]] within order, with bit pos[u] for each member u.  pos
+    is read only at the vertices of order.
 
     Each row is remapped from the sparser of the row and its complement
-    within order, and flipped when it took the complement, so this costs
-    at most len(order)/2 bit moves per vertex.  It is the one row remap:
-    _complement_view passes the degree order of all vertices, Graph.relabel
-    the inverse of its permutation, and induced_subgraph its sorted vertex
-    set.
+    within order, and flipped within pos's image when it took the
+    complement, so this costs at most len(order)/2 bit moves per vertex.
+    It is the one row remap: _complement_view passes the degree order of
+    all vertices, Graph.relabel the inverse of its permutation,
+    induced_subgraph its sorted vertex set, and lex rows each class.
     """
     n, m = len(masks), len(order)
     bit = [1 << i for i in pos]
     # order holds distinct vertices, so at full length it is all of them.
     within = (1 << n) - 1 if m == n else sum(1 << v for v in order)
-    full = (1 << m) - 1
+    # pos with one entry per member is read at every entry.
+    image = sum(bit) if len(bit) == m else sum(map(bit.__getitem__, order))
     rows = []
-    for i, v in enumerate(order):
+    for v in order:
         row = masks[v] & within
         sparse = 2 * row.bit_count() <= m
         if not sparse:
@@ -478,7 +476,7 @@ def _view_rows(masks: tuple[int, ...], order: list[int], pos: list[int]) -> list
             low = row & -row
             moved |= bit[low.bit_length() - 1]
             row ^= low
-        rows.append(moved if sparse else moved ^ full ^ (1 << i))
+        rows.append(moved if sparse else moved ^ image ^ bit[v])
     return rows
 
 

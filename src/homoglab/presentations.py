@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .errors import BadParams, BudgetExhausted
-from .graphs import Graph, _clique_components, _iter_bits, _tile, _union_mask
+from .graphs import Graph, _clique_components, _tile, _union_mask, _view_rows
 from .graphs import complement as graph_complement
 
 __all__ = [
@@ -183,11 +183,18 @@ def _rado_bit() -> Presentation:
 
     def least_witness(a: tuple, b: tuple, budget: int) -> int | None:
         marked = sorted(a + b)
-        # Below the bit length of every marked vertex, ask the oracle.
+        # Up to top, below the bit length of every marked vertex, a marked
+        # x is adjacent to row x, or to its own bits when x > top.
         small = marked[-1].bit_length() if marked else 0
-        v = _least_scan(adj, a, b, min(small - 1, budget), marked)
-        if v is not None:
-            return v
+        top = min(small - 1, budget)
+        low = rows(top + 1)
+        cand = (1 << top + 1) - 1
+        for x in a:
+            cand &= low[x] if x <= top else x
+        for y in b:
+            cand &= ~(low[y] | 1 << y if y <= top else y)
+        if cand:
+            return (cand & -cand).bit_length() - 1
         # From there on no marked x above v has bit v set, so v is adjacent
         # to a marked x only when x < v and bit x of v is set.  In each gap
         # between marked vertices, the least candidate is amask plus the
@@ -420,12 +427,8 @@ def _lex(p: Presentation, q: Presentation) -> Presentation:
         out = [0] * n
         for o, ks in enumerate(members):
             across = _union_mask(classes, outer[o])
-            below = (1 << len(ks)) - 1
-            for i, k in enumerate(ks):
-                row = across
-                for i2 in _iter_bits(inner[i] & below):
-                    row |= 1 << ks[i2]
-                out[k] = row
+            for k, row in zip(ks, _view_rows(inner, range(len(ks)), ks)):
+                out[k] = across | row
         return out
 
     hooked = p._rows is not None and q._rows is not None
@@ -589,9 +592,9 @@ def extension_witness(
         raise ValueError("budget must be nonnegative")
     aset = sorted(set(a))
     bset = sorted(set(b))
-    if set(aset) & set(bset):
+    if not set(aset).isdisjoint(bset):
         raise ValueError("cone and co-cone sides must be disjoint")
-    if any(v < 0 for v in aset + bset):
+    if aset and aset[0] < 0 or bset and bset[0] < 0:
         raise ValueError("presentation vertices are naturals")
     cert = p.refute(aset, bset)
     if cert is not None:
@@ -889,10 +892,8 @@ def classify_mb(p: Presentation, budget: int) -> ClassificationReport:
             comps = _clique_components(g)
             if comps is None:
                 return None
-            sizes = [0] * g.n
-            for comp in comps:
-                for v in _iter_bits(comp):
-                    sizes[v] = comp.bit_count()
+            # Each vertex's component is its closed neighbourhood.
+            sizes = [row.bit_count() + 1 for row in g.masks]
             counts.append(len(comps))
             maxima.append(max(sizes))
             by_vertex.append(sizes)

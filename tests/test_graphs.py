@@ -1037,6 +1037,32 @@ class TestComponents:
         assert seen == {True, False}
         assert graph_module._clique_components(empty_graph(0)) == []
 
+    def test_clique_components_match_the_component_walk(self):
+        # The partition rule against its definition: walk the components
+        # and ask that every member's closed neighbourhood is the whole
+        # component.  Cliques plus one edge join two cliques into a
+        # component that is not one.
+        def walked(g):
+            comps = list(graph_module._components(g))
+            closed = all(g.masks[v] | 1 << v == c for c in comps for v in range(g.n) if c >> v & 1)
+            return comps if closed else None
+
+        rng = random.Random(35)
+        graphs = [empty_graph(0)]
+        graphs += [f(n) for n in range(1, 9) for f in (empty_graph, complete_graph)]
+        for _ in range(60):
+            g = _random_clique_union(rng)
+            graphs.append(g)
+            u, v = rng.sample(range(g.n), 2) if g.n > 1 else (0, 0)
+            if not g.has_edge(u, v) and u != v:
+                graphs.append(Graph(g.n, [*g.edges(), (u, v)]))
+        seen = set()
+        for g in graphs:
+            expected = walked(g)
+            assert graph_module._clique_components(g) == expected, g.masks
+            seen.add(expected is None)
+        assert seen == {True, False}
+
 
 def _random_clique_union(rng) -> Graph:
     """Cliques of random sizes under a random labelling, sometimes with one

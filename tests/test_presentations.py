@@ -222,6 +222,14 @@ class TestExtensionWitness:
         with pytest.raises(ValueError):
             extension_witness(p, [1], [1], 8)
 
+    def test_disjointness_is_checked_before_sign(self):
+        p = make_presentation("rado_bit")
+        with pytest.raises(ValueError, match="must be disjoint"):
+            extension_witness(p, [-1, 2], [2], 8)
+        for a, b in (([-1, 2], [3]), ([2], [-1, 3])):
+            with pytest.raises(ValueError, match="naturals"):
+                extension_witness(p, a, b, 8)
+
     def test_exhausted_is_not_proven(self):
         # No vertex below 9 carries bits 6, 7 and 8, so the least cone over
         # {6, 7, 8} is 0b111000000 = 448; budget 100 merely exhausts.
@@ -570,7 +578,9 @@ class TestClosedFormHooks:
         ["rado_bit", "rs:3", "rs:5", "k_omega", "null", "i_omega_k_omega",
          "union_cliques_complement", "two_way_path", "complement_of:rado_bit",
          "lex:rado_bit,k_omega", "complement_of:lex(rs(4),complement_of(two_way_path))",
-         "lex:lex(null,rado_bit),union_cliques_complement"],
+         "lex:lex(null,rado_bit),union_cliques_complement",
+         "lex:rado_bit,complement_of:rado_bit", "lex:two_way_path,k_omega",
+         "lex:k_omega,union_cliques_complement"],
     )
     def test_truncations_match_the_oracle(self, spec):
         p = parse_spec(spec)
@@ -621,6 +631,29 @@ class TestClosedFormHooks:
                 assert extension_witness(p, a, b, budget) == extension_witness(
                     oracle, a, b, budget
                 ), (a, b, budget)
+
+    def test_rado_hooks_make_no_oracle_call(self, monkeypatch):
+        # Presentations that carry rado_bit's hooks but whose adjacency
+        # raises, with the generic scan refused as well, must answer as
+        # the oracle does: witnesses from the least_witness hook alone, and
+        # truncations of their lex composition from the rows hooks alone.
+        def refuse(*args):
+            raise AssertionError("the oracle was asked")
+
+        monkeypatch.setattr(presentations, "_least_scan", refuse)
+        rado = parse_spec("rado_bit")
+        p = Presentation("rado_bit", refuse, rows=rado._rows, least_witness=rado._least_witness)
+        oracle = _oracle_only(rado)
+        columns = _adjacency_columns(oracle, 12, 1 << 16)
+        for a, b in _sided_pairs(12, 4):
+            for budget in (0, 1, 2, 3, 5, 20, 1 << 16):
+                assert extension_witness(p, a, b, budget) == _column_witness(
+                    oracle, columns, a, b, budget
+                ), (a, b, budget)
+        blind = make_presentation("lex", p, p)
+        reference = _oracle_only(parse_spec("lex:rado_bit,rado_bit"))
+        for n in (0, 1, 2, 5, 33, 200):
+            assert truncate(blind, n) == truncate(reference, n)
 
     def test_families_without_a_total_witness_keep_the_scan(self):
         for spec in ("rs:3", "two_way_path", "lex:rado_bit,k_omega"):
