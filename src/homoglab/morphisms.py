@@ -309,7 +309,12 @@ def _twins(adj: tuple[int, ...]) -> list[int]:
     return twins
 
 
-def _code_search(adj: tuple[int, ...]) -> bytes:
+class _BelowFloor(Exception):
+    """Raised inside a floored _code_search when a column string falls
+    below its floor; the search returns None."""
+
+
+def _code_search(adj: tuple[int, ...], floor: list[int] | None = None) -> bytes | None:
     """canonical_code of the graph with neighbourhood masks adj, searched.
 
     The search places one vertex per level.  Each node holds the columns of
@@ -321,14 +326,16 @@ def _code_search(adj: tuple[int, ...]) -> bytes:
 
     Tight bound: a node's bound is best[k] while its prefix equals
     best[:k], and _LOOSE while the prefix is below best or no best exists.
-    A child whose least column exceeds its bound is cut before the call.
-    Once a child returns, prefix + [col] is a prefix of best, either
-    because the child replaced best or because it was tight and best kept
-    col at k.  So the bound becomes col: the rest of the first cell is
-    tried with a tight child, and every later cell, with a larger column,
-    would be cut, so a node only tries the members of its first cell.
+    A child whose least column exceeds its bound is cut before its cells
+    are built: that column is read off the first cell, or the second when
+    the first holds only the vertex placed.  Once a child returns,
+    prefix + [col] is a prefix of best, either because the child replaced
+    best or because it was tight and best kept col at k.  So the bound
+    becomes col: the rest of the first cell is tried with a tight child,
+    and every later cell, with a larger column, would be cut, so a node
+    only tries the members of its first cell.
     With two vertices unplaced, placing one forces the other, whose column
-    is compared in place and the leaf finished without a call.
+    is that least column, and the leaf is finished without a call.
 
     Twin pruning: u and w are twins when their neighbourhoods agree outside
     {u, w}.  Swapping them is an automorphism that fixes every other
@@ -338,18 +345,36 @@ def _code_search(adj: tuple[int, ...]) -> bytes:
     node.  The minimum, and so the code, is the one the full search finds;
     K_n and I_n take a single path instead of n! leaves.  Graphs without
     twins keep their full search.
+
+    Floor: the first n - 1 columns of an ordering are the columns of the
+    graph less its last vertex, so the code without its last column is the
+    least code of the vertex-deleted subgraphs.  Given floor, the columns
+    of one of those codes, best starts as floor + [_LOOSE] and the root is
+    tight, so every node above the last column is tight and only prefixes
+    at most floor are walked.  The first node whose column falls below its
+    bound proves that some vertex-deleted subgraph has a code below floor,
+    and the search stops and returns None.  Otherwise the code is returned,
+    and its prefix is floor: the walk reaches every tight node the plain
+    search reaches, and so the least ordering's path if it left floor.
+    Precondition: floor is the code of some vertex-deleted subgraph, so
+    some leaf has a prefix at most floor.  A floor below every ordering
+    cuts every leaf, and InternalInvariant is raised rather than a code
+    with _LOOSE as its last column.
     """
     n = len(adj)
     if n < 2:
         return bytes([n]) + bytes(2 * n)
     twins = _twins(adj)
-    best: list[int] = []
+    best: list[int] = [] if floor is None else floor + [_LOOSE]
     prefix: list[int] = []
 
     def dfs(cells: list[tuple[int, int]], bound: int) -> None:
         nonlocal best
         k = len(prefix)
         col, members = cells[0]
+        if col < bound and floor is not None:
+            raise _BelowFloor
+        first = members
         last_step = k + 2 == n
         tried = 0
         while members:
@@ -361,26 +386,39 @@ def _code_search(adj: tuple[int, ...]) -> bytes:
             tried |= bit
             row = adj[u]
             keep = ~(row | bit)  # non-neighbours of u, u itself left out
-            rest = []
-            for c, m in cells:
-                c <<= 1
-                if m & keep:
-                    rest.append((c, m & keep))
-                if m & row:
-                    rest.append((c | 1, m & row))
+            # The child's least column: the first cell's other members, or
+            # else the second cell's.
+            if first & keep:
+                head = col << 1
+            elif first & ~bit:
+                head = col << 1 | 1
+            else:
+                c, m = cells[1]
+                head = c << 1 | (not m & keep)
             if last_step:
-                last = rest[0][0]
-                if col < bound or last < best[k + 1]:
-                    best = prefix + [col, last]
+                if col < bound or head < best[k + 1]:
+                    best = prefix + [col, head]
             else:
                 child_bound = best[k + 1] if col == bound else _LOOSE
-                if rest[0][0] <= child_bound:
+                if head <= child_bound:
+                    rest = []
+                    for c, m in cells:
+                        c <<= 1
+                        if m & keep:
+                            rest.append((c, m & keep))
+                        if m & row:
+                            rest.append((c | 1, m & row))
                     prefix.append(col)
                     dfs(rest, child_bound)
                     prefix.pop()
             bound = col
 
-    dfs([(0, (1 << n) - 1)], _LOOSE)
+    try:
+        dfs([(0, (1 << n) - 1)], _LOOSE if floor is None else 0)
+    except _BelowFloor:
+        return None
+    if best[-1] == _LOOSE:
+        raise InternalInvariant("code search floor is below every vertex ordering")
     return bytes([n]) + b"".join(c.to_bytes(2, "big") for c in best)
 
 
@@ -414,7 +452,8 @@ def _code(adj: tuple[int, ...]) -> bytes:
 
 # --- exhaustive enumeration up to isomorphism ------------------------------
 
-# Largest order enumerate_graphs accepts; order 8 asks for 102,150 codes.
+# Largest order enumerate_graphs accepts; order 8 starts 102,150 code
+# searches, and 86,462 of them stop at their parent's floor.
 _ENUMERATION_ORDER = 8
 
 
@@ -422,42 +461,54 @@ def _representatives(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield the masks of one representative per isomorphism class for
     each order 1..n in turn, ordered by canonical code.
 
-    Each order is built by one-vertex extensions of the one before,
-    deduplicated through canonical codes; every graph arises this way
-    since deleting a vertex lands in some class one order smaller.  Each
-    extension coded within one order is a distinct masks tuple, so a memo
-    of codes would never be hit.
+    Each order is built by one-vertex extensions of the representatives
+    of the order before, its parents, walked in code order; every graph
+    arises this way since deleting a vertex lands in some class one order
+    smaller.  Canonical parent: a class is kept from the parent whose code
+    is its own code less the last column.  That prefix is the least code
+    of the class's vertex-deleted subgraphs (the first n - 1 columns of an
+    ordering are the columns of the graph less its last vertex), and the
+    parents that yield the class are exactly those subgraphs' classes, so
+    the first parent in code order to yield it is the least, this one.
+    Each extension is coded with its parent's columns as the floor of
+    _code_search, which returns None, and the extension is dropped, as
+    soon as a smaller vertex-deleted subgraph shows.  A parent's classes
+    differ only in their last column: each is kept from its first row and
+    emitted in last-column order, so the representatives and their order
+    are those of a walk that codes every extension and keeps the first of
+    each code.
 
     Twin skip: when u < w are twins of the parent (neighbourhoods equal
     outside {u, w}), swapping them is an automorphism of the parent, so a
     row holding w but not u gives the same class as the smaller row with
     u in place of w, which comes earlier from the same parent.  Such a row
-    is never the first of its class and is skipped; the representatives
-    and their order are the ones the full loop keeps.
+    is never the first of its class and is skipped.
     """
-    reps = ((0,),)
-    yield reps
+    parents = [((0,), [0])]
+    yield ((0,),)
     for order in range(2, n + 1):
-        seen: dict[bytes, tuple[int, ...]] = {}
-        for masks in reps:
+        children = []
+        for masks, floor in parents:
             twins = _twins(masks)
             # Each vertex u with twins above it, and their mask.
             higher = [(1 << u, t >> u + 1 << u + 1) for u, t in enumerate(twins) if t >> u + 1]
+            owned: dict[int, tuple[int, ...]] = {}
             for row in range(1 << (order - 1)):
                 if any(row & w and not row & u for u, w in higher):
                     continue
                 ext = _add_vertex(masks, row)
-                code = _code(ext)
-                if code not in seen:
-                    seen[code] = ext
-        reps = tuple(ext for _, ext in sorted(seen.items()))
-        yield reps
+                code = _code_search(ext, floor)
+                if code is not None:
+                    owned.setdefault(int.from_bytes(code[-2:], "big"), ext)
+            children += [(ext, floor + [last]) for last, ext in sorted(owned.items())]
+        parents = children
+        yield tuple(masks for masks, _ in parents)
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of n-vertex graphs,
-    ordered by canonical code: the last order _representatives builds.
-    Each call builds orders 2..n afresh."""
+    ordered by canonical code: the last order _representatives builds,
+    each class from its canonical parent.  Each call walks orders 2..n."""
     if n < 1:
         raise ValueError("enumeration starts at order 1")
     if n > _ENUMERATION_ORDER:

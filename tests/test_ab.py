@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 
 def _ab_tool():
     path = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
@@ -44,3 +46,43 @@ def test_summary_gives_medians_ratio_and_pairs_won():
 def test_summary_of_a_zero_parent_median_has_no_ratio():
     lines = _ab_tool().summarize([(_line(0.0, 1.0), _line(0.1, 1.0))])
     assert lines[2].split() == ["wall_s", "0", "0.1", "-", "0/1", "0"]
+
+
+def test_a_move_within_the_parents_spread_is_marked_level():
+    pairs = [
+        (_line(0.100, 21.40), _line(0.101, 21.0)),
+        (_line(0.104, 21.42), _line(0.103, 21.1)),
+        (_line(0.108, 21.44), _line(0.106, 21.2)),
+        (_line(0.112, 21.46), _line(0.109, 21.3)),
+    ]
+    rows = {line.split()[0]: line.split()[1:] for line in _ab_tool().summarize(pairs)[1:-2]}
+    # Medians 0.106 and 0.1045 against quartiles 0.101 and 0.111: level.
+    assert rows["wall_s"] == ["0.106", "0.1045", "0.986", "3/4", "0.01", "level"]
+    # Medians 21.43 and 21.15 against quartiles 21.405 and 21.455: a move.
+    assert rows["peak_rss_mb"] == ["21.43", "21.15", "0.987", "4/4", "0.05"]
+    # No spread and no move is not marked either.
+    assert rows["setup_s"] == ["0.5", "0.5", "1.000", "0/4", "0"]
+
+
+class _Done:
+    def __init__(self, returncode):
+        self.returncode = returncode
+
+
+def test_harness_difference_is_read_from_git_diff():
+    ab = _ab_tool()
+    calls = []
+
+    def run(code):
+        def fake(cmd):
+            calls.append(cmd)
+            return _Done(code)
+
+        return fake
+
+    assert ab.harness_differs("p", "c", run(1)) is True
+    assert ab.harness_differs("p", "c", run(0)) is False
+    assert calls == [["git", "diff", "--quiet", "p", "c", "--", "perfbench"]] * 2
+    # Any other exit code is git's error, such as an unknown revision.
+    with pytest.raises(ab.subprocess.CalledProcessError):
+        ab.harness_differs("p", "c", run(128))

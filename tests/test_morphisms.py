@@ -16,6 +16,7 @@ from homoglab.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    induced_subgraph,
     lex_product,
     path_graph,
 )
@@ -590,6 +591,49 @@ class TestEnumeration:
         # the same order.
         for n in range(1, 8):
             assert [g.masks for g in enumerate_graphs(n)] == reference_enumerate_masks(n), n
+
+
+def _columns(code: bytes) -> list[int]:
+    """The columns of a canonical code, without its order byte."""
+    return [int.from_bytes(code[i : i + 2], "big") for i in range(1, len(code), 2)]
+
+
+class TestCanonicalParent:
+    """The floor of _code_search rests on one identity: a code without its
+    last column is the least code of the graph's vertex-deleted subgraphs.
+    Every code here is the plain reference search's."""
+
+    @staticmethod
+    def _sample():
+        for n in range(1, 6):
+            for bits in range(1 << (n * (n - 1) // 2)):
+                yield graph_from_bits(n, bits)
+        rng = random.Random(3606)
+        for g in enumerate_graphs(6):
+            yield _shuffled(g, rng)
+
+    def test_prefix_identity_and_floor_search(self):
+        for g in self._sample():
+            code = reference_min_column_code(g)
+            subs = sorted(
+                {
+                    tuple(_columns(reference_min_column_code(induced_subgraph(g, rest)[0])))
+                    for rest in combinations(range(g.n), g.n - 1)
+                }
+            )
+            least = list(subs[0])
+            assert _columns(code)[:-1] == least, g.masks
+            assert morphisms._code_search(g.masks, least) == code == canonical_code(g), g.masks
+            # A floor above the least: an earlier parent owns the class.
+            for floor in subs[1:]:
+                assert morphisms._code_search(g.masks, list(floor)) is None, (g.masks, floor)
+
+    def test_floor_below_every_ordering_raises(self):
+        # Every vertex-deleted subgraph of K_n has an edge, so no ordering
+        # starts with two zero columns and the search cuts every leaf.
+        for n in range(3, 7):
+            with pytest.raises(InternalInvariant):
+                morphisms._code_search(complete_graph(n).masks, [0] * (n - 1))
 
 
 class TestCodeMemo:

@@ -10,7 +10,11 @@ tree, the parent first in even pairs and the change first in odd ones,
 with the seed cycling through 1-3.  For each end-to-end metric the report
 gives both medians, their ratio (change over parent), the number of pairs
 in which the change read lower and the distance between the quartiles of
-the parent's runs; then each side's failed operations.
+the parent's runs, with ``level`` after the ratio when the medians are
+closer than that distance; then each side's failed operations.  When
+``perfbench/`` differs between the two revisions, a warning line comes
+before the table: each tree runs its own harness, so the two sides may
+not measure the same thing.
 Set TMPDIR to choose where the trees go; they are removed at the end.
 """
 
@@ -46,6 +50,15 @@ def run_once(tree: str, workload: str, seed: int) -> str:
     return out.splitlines()[-1]
 
 
+def harness_differs(parent: str, change: str, run=subprocess.run) -> bool:
+    """Whether ``perfbench/`` differs between the two revisions, from the
+    exit code of ``git diff --quiet``: 0 same, 1 different."""
+    code = run(["git", "diff", "--quiet", parent, change, "--", "perfbench"]).returncode
+    if code not in (0, 1):
+        raise subprocess.CalledProcessError(code, "git diff")
+    return code == 1
+
+
 def summarize(pairs: list[tuple[str, str]]) -> list[str]:
     """Report lines for (parent, change) pairs of run.py result lines."""
     parsed = [(json.loads(p), json.loads(c)) for p, c in pairs]
@@ -59,8 +72,10 @@ def summarize(pairs: list[tuple[str, str]]) -> list[str]:
         # The distance between the quartiles of the parent's runs: a move
         # of the median smaller than this is within the parent's spread.
         q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (0, 0, 0)
+        iqr = q3 - q1
+        level = "  level" if abs(mc - mb) < iqr else ""
         lines.append(f"{name:<14}{mb:>12.6g}{mc:>12.6g}{ratio:>8}  {won}/{len(parsed)}"
-                     f"{q3 - q1:>12.3g}")
+                     f"{iqr:>12.3g}{level}")
     for side, k in (("parent", 0), ("change", 1)):
         failed = sum(pair[k]["failed"] for pair in parsed)
         attempted = sum(pair[k]["attempted"] for pair in parsed)
@@ -76,6 +91,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=6)
     args = parser.parse_args(argv)
 
+    differs = harness_differs(args.parent, args.change)
     base = tempfile.mkdtemp(prefix="homoglab-ab-")
     trees = os.path.join(base, "a"), os.path.join(base, "b")
     try:
@@ -91,6 +107,8 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(base)
     print(f"{args.workload}: {args.parent} -> {args.change}, {args.pairs} pairs")
+    if differs:
+        print("warning: perfbench/ differs between the revisions; each side ran its own harness")
     print("\n".join(summarize(pairs)))
     return 0
 
