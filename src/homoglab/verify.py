@@ -61,8 +61,8 @@ _MAX_RICHNESS_SETS = 1 << 17
 # Largest S whose common neighbourhood cross_validate_hh checks for HH.
 _CLOSURE_SET_MAX = 2
 # Largest order cross_validate_hh enumerates, the enumeration cap.  Order 8
-# adds 12,346 classes; the whole run takes about 15 s and 21 MB peak RSS
-# (2 vCPU, CPython 3.11.7), so tier-1 stops at order 7.
+# adds 12,346 classes; the whole run takes about 5.5-6.3 s and 21 MB peak
+# RSS (2 vCPU, CPython 3.11.7), so tier-1 stops at order 7.
 _CROSS_VALIDATE_ORDER = 8
 
 

@@ -64,25 +64,19 @@ def test_a_move_within_the_parents_spread_is_marked_level():
     assert rows["setup_s"] == ["0.5", "0.5", "1.000", "0/4", "0"]
 
 
-class _Done:
-    def __init__(self, returncode):
-        self.returncode = returncode
-
-
-def test_harness_difference_is_read_from_git_diff():
+def test_harness_difference_is_read_from_git_diff(monkeypatch):
+    # git is replaced by a fake, so no process starts.
     ab = _ab_tool()
-    calls = []
+    calls, codes = [], [1, 0, 128]
 
-    def run(code):
-        def fake(cmd):
-            calls.append(cmd)
-            return _Done(code)
+    def fake_run(cmd):
+        calls.append(cmd)
+        return ab.subprocess.CompletedProcess(cmd, codes.pop(0))
 
-        return fake
-
-    assert ab.harness_differs("p", "c", run(1)) is True
-    assert ab.harness_differs("p", "c", run(0)) is False
-    assert calls == [["git", "diff", "--quiet", "p", "c", "--", "perfbench"]] * 2
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    assert ab.harness_differs("p", "c") is True
+    assert ab.harness_differs("p", "c") is False
     # Any other exit code is git's error, such as an unknown revision.
     with pytest.raises(ab.subprocess.CalledProcessError):
-        ab.harness_differs("p", "c", run(128))
+        ab.harness_differs("p", "c")
+    assert calls == [["git", "diff", "--quiet", "p", "c", "--", "perfbench"]] * 3

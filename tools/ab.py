@@ -10,8 +10,8 @@ tree, the parent first in even pairs and the change first in odd ones,
 with the seed cycling through 1-3.  For each end-to-end metric the report
 gives both medians, their ratio (change over parent), the number of pairs
 in which the change read lower and the distance between the quartiles of
-the parent's runs, with ``level`` after the ratio when the medians are
-closer than that distance; then each side's failed operations.  When
+the parent's runs, with ``level`` at the end of the row when the medians
+are closer than that distance; then each side's failed operations.  When
 ``perfbench/`` differs between the two revisions, a warning line comes
 before the table: each tree runs its own harness, so the two sides may
 not measure the same thing.
@@ -50,10 +50,10 @@ def run_once(tree: str, workload: str, seed: int) -> str:
     return out.splitlines()[-1]
 
 
-def harness_differs(parent: str, change: str, run=subprocess.run) -> bool:
+def harness_differs(parent: str, change: str) -> bool:
     """Whether ``perfbench/`` differs between the two revisions, from the
     exit code of ``git diff --quiet``: 0 same, 1 different."""
-    code = run(["git", "diff", "--quiet", parent, change, "--", "perfbench"]).returncode
+    code = subprocess.run(["git", "diff", "--quiet", parent, change, "--", "perfbench"]).returncode
     if code not in (0, 1):
         raise subprocess.CalledProcessError(code, "git diff")
     return code == 1
