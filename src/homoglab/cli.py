@@ -46,16 +46,9 @@ from .verify import (
 )
 
 
-def _report(argv: list[str], payload: dict) -> dict:
-    return {
-        "tool": {"name": "homoglab", "version": __version__},
-        "command": list(argv),
-        "payload": payload,
-    }
-
-
 def _emit(argv: list[str], payload: dict) -> None:
-    print(json.dumps(_report(argv, payload), indent=2, sort_keys=False))
+    tool = {"name": "homoglab", "version": __version__}
+    print(json.dumps({"tool": tool, "command": list(argv), "payload": payload}, indent=2))
 
 
 def _partition_dict(part: AgePartition) -> dict:
@@ -124,53 +117,56 @@ _VERIFY_SUITES = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+# Each subcommand with its help line and arguments.
+_FORMAT = _arg("--format", choices=FORMATS, default="graph6")
+_BUDGET = _arg("--budget", type=int, default=1 << 16)
+_SUBCOMMANDS = {
+    "analyze": ("independence, star number, directories, age partition", [_arg("file"), _FORMAT]),
+    "check": ("decide XY-homogeneity of a finite graph", [
+        _arg("file"), _FORMAT, _arg("--x", required=True, choices=X_KINDS),
+        _arg("--y", required=True, choices=KINDS),
+        _arg("--method", choices=("direct", "conditions"), default="direct"),
+        _arg("--expect", choices=("yes", "no")),
+    ]),
+    "generate": ("truncate a presentation to a graph file", [
+        _arg("spec"), _arg("--truncate", type=int, required=True),
+        _arg("-o", "--output", required=True), _FORMAT,
+    ]),
+    "witness": ("bounded cone/co-cone witness search",
+                [_arg("spec"), _arg("--cone", default=""), _arg("--cocone", default=""), _BUDGET]),
+    "rado-span": ("greedy spanning selection with extension schedule",
+                  [_arg("spec"), _arg("--n", type=int, required=True), _BUDGET]),
+    "classify": ("bimorphism-class probe of a presentation",
+                 [_arg("spec"), _arg("--budget", type=int, default=512)]),
+    # Unset options stay None, so _cmd_verify can tell them from defaults.
+    "verify": ("run a verification suite", [
+        _arg("suite", choices=[m for m in _VERIFY_SUITES if not m.endswith(" --random")]),
+        *(_arg("--" + name.replace("_", "-"), type=type(default))
+          for name, default in _VERIFY_DEFAULTS.items()),
+        _arg("--random", action="store_true", help="run the random-graph campaign"),
+    ]),
+}
+
+
+def _build_parser(argv: list[str] = ()) -> argparse.ArgumentParser:
+    """The parser with only the subcommand argv names, else with all."""
     parser = argparse.ArgumentParser(
         prog="homoglab",
         description="Exact analysis of finite graphs and finitely presented countable graphs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="independence, star number, directories, age partition")
-    p.add_argument("file")
-    p.add_argument("--format", choices=FORMATS, default="graph6")
-
-    p = sub.add_parser("check", help="decide XY-homogeneity of a finite graph")
-    p.add_argument("file")
-    p.add_argument("--format", choices=FORMATS, default="graph6")
-    p.add_argument("--x", required=True, choices=X_KINDS)
-    p.add_argument("--y", required=True, choices=KINDS)
-    p.add_argument("--method", choices=("direct", "conditions"), default="direct")
-    p.add_argument("--expect", choices=("yes", "no"))
-
-    p = sub.add_parser("generate", help="truncate a presentation to a graph file")
-    p.add_argument("spec")
-    p.add_argument("--truncate", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--format", choices=FORMATS, default="graph6")
-
-    p = sub.add_parser("witness", help="bounded cone/co-cone witness search")
-    p.add_argument("spec")
-    p.add_argument("--cone", default="")
-    p.add_argument("--cocone", default="")
-    p.add_argument("--budget", type=int, default=1 << 16)
-
-    p = sub.add_parser("rado-span", help="greedy spanning selection with extension schedule")
-    p.add_argument("spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1 << 16)
-
-    p = sub.add_parser("classify", help="bimorphism-class probe of a presentation")
-    p.add_argument("spec")
-    p.add_argument("--budget", type=int, default=512)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=[m for m in _VERIFY_SUITES if not m.endswith(" --random")])
-    # Unset options stay None, so _cmd_verify can tell them from defaults.
-    for name, default in _VERIFY_DEFAULTS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=type(default))
-    p.add_argument("--random", action="store_true", help="run the random-graph campaign")
-
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    # Narrowed, the usage line of an error still lists every name.
+    narrowed = {"metavar": "{" + ",".join(_SUBCOMMANDS) + "}"} if len(names) == 1 else {}
+    sub = parser.add_subparsers(dest="command", required=True, **narrowed)
+    for name in names:
+        help_line, arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -201,28 +197,17 @@ def _cmd_check(args, argv) -> int:
     else:
         report = decide_xy(g, args.x, args.y)
     _emit(argv, {"check": report.to_dict()})
-    if args.expect == "yes" and not report.verdict:
-        return 1
-    if args.expect == "no" and report.verdict:
-        return 1
-    return 0
+    return 1 if args.expect and (args.expect == "yes") != report.verdict else 0
 
 
 def _cmd_generate(args, argv) -> int:
     p = parse_spec(args.spec)
     g = truncate(p, args.truncate)
     write_graph(g, args.output, args.format)
-    _emit(
-        argv,
-        {
-            "presentation": p.describe(),
-            "truncation": args.truncate,
-            "written": args.output,
-            "format": args.format,
-            "order": g.n,
-            "edge_count": g.edge_count(),
-        },
-    )
+    _emit(argv, {
+        "presentation": p.describe(), "truncation": args.truncate, "written": args.output,
+        "format": args.format, "order": g.n, "edge_count": g.edge_count(),
+    })
     return 0
 
 
@@ -231,16 +216,10 @@ def _cmd_witness(args, argv) -> int:
     a = _parse_vertex_list(args.cone)
     b = _parse_vertex_list(args.cocone)
     result = extension_witness(p, a, b, args.budget)
-    _emit(
-        argv,
-        {
-            "presentation": p.describe(),
-            "cone_over": list(a),
-            "cocone_over": list(b),
-            "budget": args.budget,
-            "result": result.to_dict(),
-        },
-    )
+    _emit(argv, {
+        "presentation": p.describe(), "cone_over": list(a), "cocone_over": list(b),
+        "budget": args.budget, "result": result.to_dict(),
+    })
     return 3 if result.status == "exhausted" else 0
 
 
@@ -249,25 +228,16 @@ def _cmd_rado_span(args, argv) -> int:
     try:
         construction = spanning_rado(p, args.n, args.budget)
     except BudgetExhausted as exc:
-        _emit(
-            argv,
-            {
-                "presentation": p.describe(),
-                "error": "budget-exhausted",
-                "requirement": exc.requirement.to_dict(),
-                "detail": exc.detail,
-            },
-        )
+        _emit(argv, {
+            "presentation": p.describe(), "error": "budget-exhausted",
+            "requirement": exc.requirement.to_dict(), "detail": exc.detail,
+        })
         return 3
     problems = construction.verify(p)
-    _emit(
-        argv,
-        {
-            "presentation": p.describe(),
-            "construction": construction.to_dict(),
-            "replay_problems": problems,
-        },
-    )
+    _emit(argv, {
+        "presentation": p.describe(), "construction": construction.to_dict(),
+        "replay_problems": problems,
+    })
     return 0 if not problems else 1
 
 
@@ -308,7 +278,7 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -170,15 +170,19 @@ def _rado_bit() -> Presentation:
         # The larger vertex has the smaller one's bit set.
         return bool((i >> j if j < i else j >> i) & 1)
 
-    def rows(n: int) -> list[int]:
+    def row(v: int, n: int) -> int:
         # Below v, the neighbours of v are the set bits of v itself.  Above
-        # it, they are the j with bit v set: one run of 2^v ones in every
-        # 2^(v+1), so only the v with 2^v < n have any.
-        full = (1 << n) - 1
+        # it, they are the j < n with bit v set: one run of 2^v ones in
+        # every 2^(v+1), so only the v with 2^v < n have any.
+        if v >= n.bit_length():
+            return v
+        run = 1 << v
+        return v | _tile(((1 << run) - 1) << run, 2 * run, -(-n // (2 * run))) & (1 << n) - 1
+
+    def rows(n: int) -> list[int]:
         out = list(range(n))
         for v in range(min(n, n.bit_length())):
-            run = 1 << v
-            out[v] |= _tile(((1 << run) - 1) << run, 2 * run, -(-n // (2 * run))) & full
+            out[v] = row(v, n)
         return out
 
     def least_witness(a: tuple, b: tuple, budget: int) -> int | None:
@@ -187,12 +191,11 @@ def _rado_bit() -> Presentation:
         # x is adjacent to row x, or to its own bits when x > top.
         small = marked[-1].bit_length() if marked else 0
         top = min(small - 1, budget)
-        low = rows(top + 1)
         cand = (1 << top + 1) - 1
         for x in a:
-            cand &= low[x] if x <= top else x
+            cand &= row(x, top + 1) if x <= top else x
         for y in b:
-            cand &= ~(low[y] | 1 << y if y <= top else y)
+            cand &= ~(row(y, top + 1) | 1 << y if y <= top else y)
         if cand:
             return (cand & -cand).bit_length() - 1
         # From there on no marked x above v has bit v set, so v is adjacent

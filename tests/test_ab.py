@@ -1,4 +1,5 @@
-"""The A/B runner's report, from canned perfbench result lines."""
+"""The A/B runner's report, from canned perfbench result lines, and its
+harness copy."""
 
 import importlib.util
 import json
@@ -80,3 +81,22 @@ def test_harness_difference_is_read_from_git_diff(monkeypatch):
     with pytest.raises(ab.subprocess.CalledProcessError):
         ab.harness_differs("p", "c")
     assert calls == [["git", "diff", "--quiet", "p", "c", "--", "perfbench"]] * 3
+
+
+def test_the_changes_harness_replaces_the_parents(tmp_path):
+    ab = _ab_tool()
+    parent, change = tmp_path / "a", tmp_path / "b"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("old")
+    (parent / "perfbench" / "gone.py").write_text("old")
+    (parent / "src").mkdir()
+    (parent / "src" / "code.py").write_text("parent")
+    (change / "perfbench" / "tests").mkdir(parents=True)
+    (change / "perfbench" / "run.py").write_text("new")
+    (change / "perfbench" / "tests" / "test_new.py").write_text("new")
+    ab.use_harness(str(change), str(parent))
+    files = {str(f.relative_to(parent)): f.read_text() for f in parent.rglob("*") if f.is_file()}
+    assert files == {"perfbench/run.py": "new", "perfbench/tests/test_new.py": "new",
+                     "src/code.py": "parent"}
+    # The change's tree is left as it was.
+    assert (change / "perfbench" / "run.py").read_text() == "new"

@@ -1,5 +1,6 @@
 """Command line contracts: subcommands, report shape, exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -67,6 +68,65 @@ def test_exhausted_memory_exits_four(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: out of memory\n"
+
+
+# Per subcommand: a missing required argument, a bad choice or value, and
+# a valid call, which takes an extra trailing argument below; the top-level
+# parser reports that one, with its own usage line.
+PARSER_SUBCOMMANDS = {
+    "analyze": ([], ["g.g6", "--format", "bogus"], ["g.g6"]),
+    "check": (["g.g6", "--y", "H"], ["g.g6", "--x", "Z", "--y", "H"],
+              ["g.g6", "--x", "H", "--y", "H"]),
+    "generate": (["rs:3", "-o", "g.g6"], ["rs:3", "--truncate", "9", "-o", "g.g6", "--format", "x"],
+                 ["rs:3", "--truncate", "9", "-o", "g.g6"]),
+    "witness": ([], ["rado_bit", "--budget", "many"], ["rado_bit"]),
+    "rado-span": (["rado_bit"], ["rado_bit", "--n", "many"], ["rado_bit", "--n", "3"]),
+    "classify": ([], ["rado_bit", "--budget", "many"], ["rado_bit", "--budget", "64"]),
+    "verify": ([], ["bogus"], ["richness"]),
+}
+PARSER_CASES = [[], ["-h"], ["-h", "classify"], ["bogus"]] + [
+    argv
+    for name, (missing, bad, valid) in PARSER_SUBCOMMANDS.items()
+    for argv in ([name, "-h"], [name, *missing], [name, *bad], [name, *valid, "extra"])
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_narrowed_parser_prints_what_the_full_parser_prints(capsys, argv):
+    code = run(argv)
+    narrowed = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert code == (0 if exc.value.code == 0 else 2)
+    assert (narrowed.out, narrowed.err) == (full.out, full.err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [([], "the following arguments are required: command"),
+     (["bogus"], "argument command: invalid choice")],
+)
+def test_the_full_parser_names_the_command_argument(capsys, argv, message):
+    # A subcommand metavar would stand in for "command" in these messages.
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, built", [(["classify", "rado_bit", "--budget", "32"], 2), (["-h"], 8), (["bogus"], 8)]
+)
+def test_a_named_subcommand_builds_only_its_parser(capsys, monkeypatch, argv, built):
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run(argv)
+    assert len(parsers) == built
 
 
 class TestAnalyze:

@@ -570,6 +570,25 @@ def _column_witness(p, columns, a, b, budget) -> WitnessResult:
     return WitnessResult("found", vertex=(cand & -cand).bit_length() - 1)
 
 
+FAR_BUDGETS = (0, 1, 3, 10, 200, 3000)
+
+
+def _far_cases(spec):
+    """Seeded (a, b) pairs, some with marked vertices up to 2^61 - 1."""
+    rng = random.Random(f"far/{spec}")
+    cases = [((1 << 40,), (40,)), ((40,), (1 << 40,)), ((), (3,)), ((3, 2**61 - 1), (5,))]
+    for _ in range(400):
+        support = {rng.randrange(40)}
+        for _ in range(rng.randrange(4)):
+            support.add(rng.choice([rng.randrange(3000), 1 << rng.randrange(5, 60),
+                                    rng.randrange(10**15)]))
+        support = list(support)
+        rng.shuffle(support)
+        cut = rng.randrange(len(support) + 1)
+        cases.append((tuple(support[:cut]), tuple(support[cut:])))
+    return cases
+
+
 class TestClosedFormHooks:
     """Hooks answer exactly as the oracle scan of the same presentation."""
 
@@ -615,19 +634,8 @@ class TestClosedFormHooks:
         # it), so the hook must stop at the budget just as the scan does.
         p = parse_spec(spec)
         oracle = _oracle_only(p)
-        rng = random.Random(f"far/{spec}")
-        cases = [((1 << 40,), (40,)), ((40,), (1 << 40,)), ((), (3,)), ((3, 2**61 - 1), (5,))]
-        for _ in range(400):
-            support = {rng.randrange(40)}
-            for _ in range(rng.randrange(4)):
-                support.add(rng.choice([rng.randrange(3000), 1 << rng.randrange(5, 60),
-                                        rng.randrange(10**15)]))
-            support = list(support)
-            rng.shuffle(support)
-            cut = rng.randrange(len(support) + 1)
-            cases.append((tuple(support[:cut]), tuple(support[cut:])))
-        for a, b in cases:
-            for budget in (0, 1, 3, 10, 200, 3000):
+        for a, b in _far_cases(spec):
+            for budget in FAR_BUDGETS:
                 assert extension_witness(p, a, b, budget) == extension_witness(
                     oracle, a, b, budget
                 ), (a, b, budget)
@@ -637,19 +645,25 @@ class TestClosedFormHooks:
         # raises, with the generic scan refused as well, must answer as
         # the oracle does: witnesses from the least_witness hook alone, and
         # truncations of their lex composition from the rows hooks alone.
+        # The far cases, with marked vertices up to 2^61 - 1, reach rows
+        # far past the 12-vertex window; their scans run before the refusal.
         def refuse(*args):
             raise AssertionError("the oracle was asked")
 
-        monkeypatch.setattr(presentations, "_least_scan", refuse)
         rado = parse_spec("rado_bit")
-        p = Presentation("rado_bit", refuse, rows=rado._rows, least_witness=rado._least_witness)
         oracle = _oracle_only(rado)
+        far = [(a, b, budget, extension_witness(oracle, a, b, budget))
+               for a, b in _far_cases("rado_bit") for budget in FAR_BUDGETS]
+        monkeypatch.setattr(presentations, "_least_scan", refuse)
+        p = Presentation("rado_bit", refuse, rows=rado._rows, least_witness=rado._least_witness)
         columns = _adjacency_columns(oracle, 12, 1 << 16)
         for a, b in _sided_pairs(12, 4):
             for budget in (0, 1, 2, 3, 5, 20, 1 << 16):
                 assert extension_witness(p, a, b, budget) == _column_witness(
                     oracle, columns, a, b, budget
                 ), (a, b, budget)
+        for a, b, budget, want in far:
+            assert extension_witness(p, a, b, budget) == want, (a, b, budget)
         blind = make_presentation("lex", p, p)
         reference = _oracle_only(parse_spec("lex:rado_bit,rado_bit"))
         for n in (0, 1, 2, 5, 33, 200):

@@ -12,9 +12,9 @@ gives both medians, their ratio (change over parent), the number of pairs
 in which the change read lower and the distance between the quartiles of
 the parent's runs, with ``level`` at the end of the row when the medians
 are closer than that distance; then each side's failed operations.  When
-``perfbench/`` differs between the two revisions, a warning line comes
-before the table: each tree runs its own harness, so the two sides may
-not measure the same thing.
+``perfbench/`` differs between the two revisions, the change's harness is
+copied over the parent's tree before the first pair, so both sides measure
+the same thing, and a line before the table says so.
 Set TMPDIR to choose where the trees go; they are removed at the end.
 """
 
@@ -59,6 +59,12 @@ def harness_differs(parent: str, change: str) -> bool:
     return code == 1
 
 
+def use_harness(source: str, tree: str) -> None:
+    """Replace the ``perfbench/`` of tree with a copy of source's."""
+    shutil.rmtree(os.path.join(tree, "perfbench"), ignore_errors=True)
+    shutil.copytree(os.path.join(source, "perfbench"), os.path.join(tree, "perfbench"))
+
+
 def summarize(pairs: list[tuple[str, str]]) -> list[str]:
     """Report lines for (parent, change) pairs of run.py result lines."""
     parsed = [(json.loads(p), json.loads(c)) for p, c in pairs]
@@ -97,6 +103,8 @@ def main(argv=None) -> int:
     try:
         for rev, tree in zip((args.parent, args.change), trees):
             export(rev, tree)
+        if differs:
+            use_harness(trees[1], trees[0])
         pairs = []
         for k in range(args.pairs):
             seed = SEEDS[k % len(SEEDS)]
@@ -108,7 +116,7 @@ def main(argv=None) -> int:
         shutil.rmtree(base)
     print(f"{args.workload}: {args.parent} -> {args.change}, {args.pairs} pairs")
     if differs:
-        print("warning: perfbench/ differs between the revisions; each side ran its own harness")
+        print("perfbench/ differs between the revisions; both sides ran the change's harness")
     print("\n".join(summarize(pairs)))
     return 0
 
