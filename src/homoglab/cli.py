@@ -152,7 +152,7 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(argv: list[str] = ()) -> argparse.ArgumentParser:
+def _build_parser(argv: list[str] | tuple = ()) -> argparse.ArgumentParser:
     """The parser with only the subcommand argv names, else with all."""
     parser = argparse.ArgumentParser(
         prog="homoglab",

@@ -181,21 +181,22 @@ def _rado_bit() -> Presentation:
 
     def rows(n: int) -> list[int]:
         out = list(range(n))
-        for v in range(min(n, n.bit_length())):
+        for v in range(n.bit_length()):
             out[v] = row(v, n)
         return out
 
     def least_witness(a: tuple, b: tuple, budget: int) -> int | None:
         marked = sorted(a + b)
-        # Up to top, below the bit length of every marked vertex, a marked
-        # x is adjacent to row x, or to its own bits when x > top.
+        # Below n, at most the bit length of the largest marked vertex, a
+        # marked x is adjacent to row x of the first n vertices, or to its
+        # own set bits when x >= n.
         small = marked[-1].bit_length() if marked else 0
-        top = min(small - 1, budget)
-        cand = (1 << top + 1) - 1
+        n = min(small, budget + 1)
+        cand = (1 << n) - 1
         for x in a:
-            cand &= row(x, top + 1) if x <= top else x
+            cand &= row(x, n) if x < n else x
         for y in b:
-            cand &= ~(row(y, top + 1) | 1 << y if y <= top else y)
+            cand &= ~(row(y, n) | 1 << y if y < n else y)
         if cand:
             return (cand & -cand).bit_length() - 1
         # From there on no marked x above v has bit v set, so v is adjacent
